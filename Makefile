@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only dependency.
 
-.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches fuzz-smoke race check bench ci test-kernels
+.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches fuzz-smoke race check bench ci test-kernels perfbench-test
 
 build:
 	go build ./...
@@ -84,7 +84,13 @@ test-kernels:
 	FEDMP_KERNEL=sse go test ./internal/tensor
 	FEDMP_KERNEL=avx2 go test ./internal/tensor
 
-check: vet lint build test test-kernels race
+# perfbench-test vets and tests the end-to-end benchmark's own arithmetic
+# (percentiles, self time, round boundaries). perfbench is a nested module,
+# so the root `go test ./...` never reaches it.
+perfbench-test:
+	cd perfbench && go vet . && go test .
+
+check: vet lint build test test-kernels race perfbench-test
 
 # ci is the offline continuous-integration entry point: the full check
 # pipeline, the stale-hatch audit, a race-checked transport smoke

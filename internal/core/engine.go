@@ -20,8 +20,7 @@ type runner struct {
 	strategy Strategy
 	devices  []*cluster.Device
 	sources  []Source
-	evalNet  nn.Network
-	testB    *nn.Batch
+	eval     *Evaluator
 	rng      *rand.Rand
 	injector *cluster.Injector
 
@@ -102,7 +101,7 @@ func newRunner(fam Family, cfg Config) (*runner, Config, error) {
 	if err != nil {
 		return nil, cfg, err
 	}
-	evalNet, err := fam.BuildNet(fam.FullDesc(), cfg.Seed)
+	eval, err := NewEvaluator(fam, cfg.Seed, fam.TestBatch(cfg.EvalLimit))
 	if err != nil {
 		return nil, cfg, err
 	}
@@ -112,8 +111,7 @@ func newRunner(fam Family, cfg Config) (*runner, Config, error) {
 		strategy:  strategy,
 		devices:   devices,
 		sources:   sources,
-		evalNet:   evalNet,
-		testB:     fam.TestBatch(cfg.EvalLimit),
+		eval:      eval,
 		rng:       rand.New(rand.NewSource(cfg.Seed + 29)),
 		sched:     simsched.New(4*cfg.Workers + 8),
 		global:    fam.InitWeights(cfg.Seed),
@@ -408,8 +406,7 @@ func (r *runner) stopByBudget(round int) bool {
 // evaluate measures the global model on the test batch and records a Point
 // (or the streaming aggregate under StreamMetrics).
 func (r *runner) evaluate(round int) Point {
-	nn.SetWeights(r.evalNet, r.global)
-	loss, acc := EvalChunked(r.evalNet, r.testB, 64)
+	loss, acc := r.eval.Eval(r.global)
 	p := Point{Round: round, Time: r.now, Loss: loss, Acc: acc}
 	if r.stream != nil {
 		r.stream.observeEval(round, r.now, loss, acc)
@@ -425,45 +422,6 @@ func (r *runner) evaluate(round int) Point {
 		r.res.TimeToTargetLoss = r.now
 	}
 	return p
-}
-
-// EvalChunked evaluates a batch in chunks to bound activation memory,
-// returning the mean loss and accuracy. The network transport shares it with
-// the simulation engine.
-func EvalChunked(net nn.Network, b *nn.Batch, chunk int) (loss, acc float64) {
-	n := b.Size()
-	var lossSum float64
-	var correct int
-	var total int
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		sub := sliceBatch(b, start, end)
-		l, c := net.Eval(sub)
-		cnt := end - start
-		lossSum += l * float64(cnt)
-		correct += c
-		total += cnt
-	}
-	if total == 0 {
-		return 0, 0
-	}
-	return lossSum / float64(total), float64(correct) / float64(total)
-}
-
-// sliceBatch returns the [start,end) sub-batch.
-func sliceBatch(b *nn.Batch, start, end int) *nn.Batch {
-	if b.X != nil {
-		per := b.X.Size() / b.X.Shape[0]
-		shape := append([]int{end - start}, b.X.Shape[1:]...)
-		return &nn.Batch{
-			X:      tensor.FromSlice(b.X.Data[start*per:end*per], shape...),
-			Labels: b.Labels[start:end],
-		}
-	}
-	return &nn.Batch{Seq: b.Seq[start:end]}
 }
 
 // runWorker executes one assignment: local training for real, virtual time

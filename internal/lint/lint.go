@@ -160,7 +160,10 @@ func DefaultOptions() *Options {
 			"fedmp/internal/nn.Dense.Forward",
 			"fedmp/internal/nn.Dense.Backward",
 			"fedmp/internal/nn.ReLU.Backward",
+			"fedmp/internal/nn.reluForward",
+			"fedmp/internal/nn.reluBackward",
 			"fedmp/internal/nn.MaxPool2D.Backward",
+			"fedmp/internal/nn.maxPool2x2",
 			"fedmp/internal/nn.GlobalAvgPool.Backward",
 			"fedmp/internal/nn.AddProximal",
 			"fedmp/internal/prune.SymmetricScale",

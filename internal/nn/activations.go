@@ -2,16 +2,17 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"fedmp/internal/tensor"
 )
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies max(0, x) element-wise: positive inputs pass through, every
+// other input (zeros of either sign, negatives and NaN) becomes +0.
 type ReLU struct {
 	name  string
-	mask  []bool // true where the input was positive
 	size  float64
-	y, dx *tensor.Tensor // reused output buffers
+	y, dx *tensor.Tensor // reused output buffers; y doubles as the backward mask
 }
 
 // NewReLU constructs a ReLU layer.
@@ -32,38 +33,59 @@ func (r *ReLU) FLOPs() float64 { return r.size }
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := ensure(r.y, x.Shape...)
 	r.y = y
-	if len(r.mask) != len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
-	}
-	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			y.Data[i] = v
-		} else {
-			r.mask[i] = false
-			y.Data[i] = 0
-		}
-	}
+	reluForward(y.Data, x.Data)
 	if x.Shape[0] > 0 {
 		r.size = float64(len(x.Data)) / float64(x.Shape[0])
 	}
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The cached output is the mask: it is nonzero
+// exactly where the input was positive.
 //
 //fedmp:allocfree
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := ensure(r.dx, dy.Shape...) //fedmp:transitive-ok — allocates only on shape change; cache-hit path is clean
 	r.dx = dx
-	for i, v := range dy.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
-	}
+	reluBackward(dx.Data, dy.Data, r.y.Data)
 	return dx
+}
+
+// reluForward writes max(0, x) into y without a data-dependent branch, so
+// the cost per element does not depend on the sign pattern: the comparison
+// becomes a mask that selects the input's bits or +0. NaN compares false,
+// so it maps to +0 like every other non-positive input.
+//
+//fedmp:allocfree
+func reluForward(y, x []float32) {
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = math.Float32frombits(math.Float32bits(v) & selectMask(v > 0))
+	}
+}
+
+// reluBackward passes dy through where the forward output y is nonzero and
+// writes +0 elsewhere. y holds only +0 or positive values, so y != 0 is
+// exactly the positive-input mask.
+//
+//fedmp:allocfree
+func reluBackward(dx, dy, y []float32) {
+	dx = dx[:len(dy)]
+	y = y[:len(dy)]
+	for i, v := range dy {
+		dx[i] = math.Float32frombits(math.Float32bits(v) & selectMask(y[i] != 0))
+	}
+}
+
+// selectMask is all ones when c holds and zero otherwise. The compiler
+// lowers it to a flag set and a negate (SETcc, NEG on amd64), not a jump,
+// which is what makes the pointwise kernels branch-free.
+func selectMask(c bool) uint32 {
+	var m uint32
+	if c {
+		m = 1
+	}
+	return -m
 }
 
 // MaxPool2D performs non-overlapping max pooling with a square window over
@@ -116,31 +138,78 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	m.inShape = x.Shape
 	planeIn := m.InH * m.InW
 	planeOut := outH * outW
-	for i := 0; i < n; i++ {
-		for c := 0; c < m.C; c++ {
-			in := x.Data[(i*m.C+c)*planeIn : (i*m.C+c+1)*planeIn]
-			outBase := (i*m.C + c) * planeOut
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					best := float32(0)
-					bi := -1
-					for kh := 0; kh < m.Window; kh++ {
-						rowOff := (oh*m.Window + kh) * m.InW
-						for kw := 0; kw < m.Window; kw++ {
-							idx := rowOff + ow*m.Window + kw
-							if bi < 0 || in[idx] > best {
-								best, bi = in[idx], idx
-							}
-						}
-					}
-					oi := outBase + oh*outW + ow
-					y.Data[oi] = best
-					m.argmax[oi] = int32((i*m.C+c)*planeIn + bi)
-				}
-			}
+	for p := 0; p < n*m.C; p++ {
+		in := x.Data[p*planeIn : (p+1)*planeIn]
+		out := y.Data[p*planeOut : (p+1)*planeOut]
+		arg := m.argmax[p*planeOut : (p+1)*planeOut]
+		if m.Window == 2 {
+			maxPool2x2(out, arg, in, m.InW, int32(p*planeIn))
+		} else {
+			maxPoolPlane(out, arg, in, m.InW, m.Window, int32(p*planeIn))
 		}
 	}
 	return y
+}
+
+// maxPoolPlane pools one [inH, inW] plane with a window×window window and
+// stride, writing each window's maximum to out and its flat input index
+// (base plus the offset inside the plane) to arg. The first element of a
+// window seeds the maximum and only a strictly greater element replaces it,
+// so ties keep the first index, a NaN in the first position wins its
+// window, and a NaN anywhere else is skipped.
+func maxPoolPlane(out []float32, arg []int32, in []float32, inW, window int, base int32) {
+	outW := inW / window
+	for oi := range out {
+		oh, ow := oi/outW, oi%outW
+		best := float32(0)
+		bi := -1
+		for kh := 0; kh < window; kh++ {
+			rowOff := (oh*window + kh) * inW
+			for kw := 0; kw < window; kw++ {
+				idx := rowOff + ow*window + kw
+				if bi < 0 || in[idx] > best {
+					best, bi = in[idx], idx
+				}
+			}
+		}
+		out[oi] = best
+		arg[oi] = base + int32(bi)
+	}
+}
+
+// maxPool2x2 is maxPoolPlane for the 2×2 window every model in the zoo
+// uses, without a data-dependent branch: each "strictly greater" test
+// becomes a selectMask that picks the candidate's bits and index or keeps
+// the running ones. Float comparison keeps the reference semantics exactly:
+// +0 and -0 are equal (the first stays), and a NaN on either side compares
+// false (a leading NaN wins, any later one is skipped).
+//
+//fedmp:allocfree
+func maxPool2x2(out []float32, arg []int32, in []float32, inW int, base int32) {
+	outW := inW / 2
+	for oh := 0; oh < len(out)/outW; oh++ {
+		row := 2 * oh * inW
+		r0 := in[row : row+inW]
+		r1 := in[row+inW : row+2*inW]
+		o := out[oh*outW : (oh+1)*outW]
+		g := arg[oh*outW : (oh+1)*outW]
+		for ow := range o {
+			best, idx := r0[2*ow], uint32(row+2*ow)
+			best, idx = maxStep(best, idx, r0[2*ow+1], uint32(row+2*ow+1))
+			best, idx = maxStep(best, idx, r1[2*ow], uint32(row+inW+2*ow))
+			best, idx = maxStep(best, idx, r1[2*ow+1], uint32(row+inW+2*ow+1))
+			o[ow] = best
+			g[ow] = base + int32(idx)
+		}
+	}
+}
+
+// maxStep is one comparison of a window scan: candidate v at plane offset i
+// replaces the running maximum only when v > best.
+func maxStep(best float32, idx uint32, v float32, i uint32) (float32, uint32) {
+	m := selectMask(v > best)
+	b := math.Float32bits(best)
+	return math.Float32frombits(b ^ (b^math.Float32bits(v))&m), idx ^ (idx^i)&m
 }
 
 // Backward implements Layer.

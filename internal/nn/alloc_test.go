@@ -116,3 +116,22 @@ func TestLSTMLMTrainStepAllocs(t *testing.T) {
 		t.Errorf("LSTMLM.TrainStep allocates %.1f objects per step, want 0", got)
 	}
 }
+
+// TestConvNetInferenceAllocs pins the evaluation path: Conv2D with
+// train=false lowers each sample into a pooled tensor.Scratch buffer, so a
+// steady-state inference forward of a conv net allocates nothing.
+func TestConvNetInferenceAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	net := NewSequential(
+		NewConv2D("c1", tensor.ConvGeom{InC: 3, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, rng),
+		NewReLU("r1"),
+		NewMaxPool2D("p1", 4, 8, 8, 2),
+		NewFlatten("f", 4*4*4),
+		NewDense("d", 4*4*4, 10, rng),
+	)
+	batch := &Batch{X: tensor.RandN(rng, 4, 3, 8, 8), Labels: []int{0, 1, 2, 3}}
+	got := allocsPerRun(func() { net.Eval(batch) })
+	if got > 0 {
+		t.Errorf("conv net inference allocates %.1f objects per call, want 0", got)
+	}
+}

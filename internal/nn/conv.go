@@ -17,8 +17,7 @@ type Conv2D struct {
 	Geom tensor.ConvGeom
 	W, B *Param
 
-	x    *tensor.Tensor // cached input batch
-	cols []float32      // cached im2col buffers, one block per sample
+	cols []float32 // im2col buffers of the last training forward, one block per sample
 
 	// reused buffers and view headers; rebuilt only when geometry changes
 	y, dx       *tensor.Tensor // cached output / input gradient
@@ -72,33 +71,51 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Shape[0]
 	rows := g.InC * g.KH * g.KW
 	outArea := g.OutH() * g.OutW()
-	c.x = x
-	if len(c.cols) != n*rows*outArea {
-		c.cols = make([]float32, n*rows*outArea)
-	}
 	y := ensure(c.y, n, g.OutC, g.OutH(), g.OutW())
 	c.y = y
 	c.wmat = view(c.wmat, c.W.W.Data, g.OutC, rows)
 	inSize := g.InC * g.InH * g.InW
-	for i := 0; i < n; i++ {
-		cb := c.cols[i*rows*outArea : (i+1)*rows*outArea]
-		tensor.Im2Col(x.Data[i*inSize:(i+1)*inSize], g, cb)
-		out := view(c.outV, y.Data[i*g.OutC*outArea:(i+1)*g.OutC*outArea], g.OutC, outArea)
-		c.outV = out
-		c.colV = view(c.colV, cb, rows, outArea)
-		tensor.MatMulInto(out, c.wmat, c.colV, false)
-		for oc := 0; oc < g.OutC; oc++ {
-			bias := c.B.W.Data[oc]
-			if bias == 0 {
-				continue
-			}
-			plane := out.Data[oc*outArea : (oc+1)*outArea]
-			for j := range plane {
-				plane[j] += bias
-			}
+	if !train {
+		// Inference keeps nothing for a backward pass: every sample is
+		// lowered into the same pooled buffer instead of an N-sample
+		// column cache, which an evaluation-only net never needs.
+		buf := tensor.Scratch.Get(rows * outArea)
+		for i := 0; i < n; i++ {
+			c.forwardSample(x.Data[i*inSize:(i+1)*inSize], buf.Data, y, i)
 		}
+		tensor.Scratch.Put(buf)
+		return y
+	}
+	if len(c.cols) != n*rows*outArea {
+		c.cols = make([]float32, n*rows*outArea)
+	}
+	for i := 0; i < n; i++ {
+		c.forwardSample(x.Data[i*inSize:(i+1)*inSize], c.cols[i*rows*outArea:(i+1)*rows*outArea], y, i)
 	}
 	return y
+}
+
+// forwardSample computes sample i of y from its input xi, lowering xi
+// into cb first.
+func (c *Conv2D) forwardSample(xi, cb []float32, y *tensor.Tensor, i int) {
+	g := c.Geom
+	rows := g.InC * g.KH * g.KW
+	outArea := g.OutH() * g.OutW()
+	tensor.Im2Col(xi, g, cb)
+	out := view(c.outV, y.Data[i*g.OutC*outArea:(i+1)*g.OutC*outArea], g.OutC, outArea)
+	c.outV = out
+	c.colV = view(c.colV, cb, rows, outArea)
+	tensor.MatMulInto(out, c.wmat, c.colV, false)
+	for oc := 0; oc < g.OutC; oc++ {
+		bias := c.B.W.Data[oc]
+		if bias == 0 {
+			continue
+		}
+		plane := out.Data[oc*outArea : (oc+1)*outArea]
+		for j := range plane {
+			plane[j] += bias
+		}
+	}
 }
 
 // Backward implements Layer.

@@ -35,29 +35,39 @@ func NewSGD(lr, momentum, weightDecay float32) *SGD {
 //
 //	v ← momentum·v + grad + wd·w
 //	w ← w − lr·v
+//
+// in one pass per parameter. Grad is only read, so it still reports the raw
+// data gradient after Step (the FedProx strategy reads it). Each element
+// sees the same float32 operations in the same order as applying the terms
+// one at a time (grad + wd·w, then momentum·v, then the sum, then the
+// weight update); the explicit conversion keeps momentum·v rounded on its
+// own rather than fused into the add.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
 		if p.Frozen {
 			continue
 		}
-		g := p.Grad
-		if s.WeightDecay != 0 {
-			// Applied into a scratch copy so Grad still reports the raw
-			// data gradient after Step (the FedProx strategy reads it).
-			g = g.Clone()
-			g.AddScaled(s.WeightDecay, p.W)
-		}
+		w, g := p.W.Data, p.Grad.Data[:len(p.W.Data)]
+		var v []float32
 		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
+			vt, ok := s.velocity[p]
 			if !ok {
-				v = tensor.New(p.W.Shape...)
-				s.velocity[p] = v
+				vt = tensor.New(p.W.Shape...)
+				s.velocity[p] = vt
 			}
-			v.Scale(s.Momentum)
-			v.Add(g)
-			g = v
+			v = vt.Data[:len(w)]
 		}
-		p.W.AddScaled(-s.LR, g)
+		wd, m, lr := s.WeightDecay, s.Momentum, -s.LR
+		for i, gi := range g {
+			if wd != 0 {
+				gi += wd * w[i]
+			}
+			if v != nil {
+				gi = float32(v[i]*m) + gi
+				v[i] = gi
+			}
+			w[i] += lr * gi
+		}
 	}
 }
 

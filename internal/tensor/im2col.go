@@ -51,31 +51,42 @@ func Im2Col(x []float32, g ConvGeom, cols []float32) {
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
 				dst := cols[row*outArea : (row+1)*outArea]
-				di := 0
+				lo, hi := validSpan(kw, g.Pad, g.Stride, g.InW, outW)
 				for oh := 0; oh < outH; oh++ {
+					seg := dst[oh*outW : (oh+1)*outW]
 					ih := oh*g.Stride - g.Pad + kh
 					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < outW; ow++ {
-							dst[di] = 0
-							di++
-						}
+						clear(seg)
 						continue
 					}
 					src := plane[ih*g.InW : (ih+1)*g.InW]
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.Stride - g.Pad + kw
-						if iw < 0 || iw >= g.InW {
-							dst[di] = 0
-						} else {
-							dst[di] = src[iw]
+					clear(seg[:lo])
+					clear(seg[hi:])
+					if g.Stride == 1 {
+						copy(seg[lo:hi], src[lo-g.Pad+kw:])
+					} else {
+						for ow := lo; ow < hi; ow++ {
+							seg[ow] = src[ow*g.Stride-g.Pad+kw]
 						}
-						di++
 					}
 				}
 				row++
 			}
 		}
 	}
+}
+
+// validSpan returns the output columns [lo, hi) whose input column
+// ow·stride − pad + k falls inside [0, in): the columns outside it read
+// zero padding. lo ≤ hi always holds.
+func validSpan(k, pad, stride, in, out int) (lo, hi int) {
+	if pad > k {
+		lo = (pad - k + stride - 1) / stride
+	}
+	if last := in - 1 + pad - k; last >= 0 {
+		hi = min(last/stride+1, out)
+	}
+	return min(lo, hi), hi
 }
 
 // Col2Im is the adjoint of Im2Col: it scatters (accumulates) the column
@@ -96,20 +107,16 @@ func Col2Im(cols []float32, g ConvGeom, dx []float32) {
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
 				src := cols[row*outArea : (row+1)*outArea]
-				si := 0
+				lo, hi := validSpan(kw, g.Pad, g.Stride, g.InW, outW)
 				for oh := 0; oh < outH; oh++ {
 					ih := oh*g.Stride - g.Pad + kh
 					if ih < 0 || ih >= g.InH {
-						si += outW
 						continue
 					}
+					seg := src[oh*outW : (oh+1)*outW]
 					dst := plane[ih*g.InW : (ih+1)*g.InW]
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.Stride - g.Pad + kw
-						if iw >= 0 && iw < g.InW {
-							dst[iw] += src[si]
-						}
-						si++
+					for ow := lo; ow < hi; ow++ {
+						dst[ow*g.Stride-g.Pad+kw] += seg[ow]
 					}
 				}
 				row++

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,4 +161,91 @@ func TestIm2ColLengthPanics(t *testing.T) {
 		}
 	}()
 	Im2Col(x, g, make([]float32, 5))
+}
+
+// refIm2Col and refCol2Im are the per-element bounds-checked loops the
+// span-based Im2Col and Col2Im replaced; the fast paths must match them bit
+// for bit (the training trajectory depends on it).
+func refIm2Col(x []float32, g ConvGeom, cols []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	di := 0
+	for c := 0; c < g.InC; c++ {
+		plane := x[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				for oh := 0; oh < outH; oh++ {
+					ih := oh*g.Stride - g.Pad + kh
+					for ow := 0; ow < outW; ow++ {
+						iw := ow*g.Stride - g.Pad + kw
+						if ih < 0 || ih >= g.InH || iw < 0 || iw >= g.InW {
+							cols[di] = 0
+						} else {
+							cols[di] = plane[ih*g.InW+iw]
+						}
+						di++
+					}
+				}
+			}
+		}
+	}
+}
+
+func refCol2Im(cols []float32, g ConvGeom, dx []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	si := 0
+	for c := 0; c < g.InC; c++ {
+		plane := dx[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+		for kh := 0; kh < g.KH; kh++ {
+			for kw := 0; kw < g.KW; kw++ {
+				for oh := 0; oh < outH; oh++ {
+					ih := oh*g.Stride - g.Pad + kh
+					for ow := 0; ow < outW; ow++ {
+						iw := ow*g.Stride - g.Pad + kw
+						if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+							plane[ih*g.InW+iw] += cols[si]
+						}
+						si++
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestIm2ColCol2ImMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, g := range []ConvGeom{
+		{InC: 2, InH: 5, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 1, InH: 6, InW: 6, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		{InC: 3, InH: 7, InW: 9, KH: 3, KW: 2, Stride: 2, Pad: 1},
+		{InC: 1, InH: 4, InW: 4, KH: 2, KW: 3, Stride: 3, Pad: 4},
+		{InC: 2, InH: 3, InW: 5, KH: 1, KW: 1, Stride: 1, Pad: 0},
+		{InC: 1, InH: 8, InW: 5, KH: 4, KW: 4, Stride: 2, Pad: 3},
+	} {
+		g.Validate()
+		rows, area := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+		x := RandN(rng, g.InC*g.InH*g.InW).Data
+		got := make([]float32, rows*area)
+		want := make([]float32, rows*area)
+		for i := range got {
+			got[i], want[i] = 7, 7 // every element must be overwritten
+		}
+		Im2Col(x, g, got)
+		refIm2Col(x, g, want)
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%+v: Im2Col[%d] = %v, want %v", g, i, got[i], want[i])
+			}
+		}
+		cols := RandN(rng, rows*area).Data
+		dx := RandN(rng, len(x)).Data
+		wantDx := append([]float32(nil), dx...)
+		Col2Im(cols, g, dx)
+		refCol2Im(cols, g, wantDx)
+		for i := range dx {
+			if math.Float32bits(dx[i]) != math.Float32bits(wantDx[i]) {
+				t.Fatalf("%+v: Col2Im[%d] = %v, want %v", g, i, dx[i], wantDx[i])
+			}
+		}
+	}
 }

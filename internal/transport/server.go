@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -522,11 +524,10 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 		}
 	}
 
-	evalNet, err := fam.BuildNet(fam.FullDesc(), coreCfg.Seed)
+	eval, err := core.NewEvaluator(fam, coreCfg.Seed, fam.TestBatch(coreCfg.EvalLimit))
 	if err != nil {
 		return nil, err
 	}
-	testB := fam.TestBatch(coreCfg.EvalLimit)
 
 	res := &core.Result{
 		Config:           coreCfg,
@@ -554,8 +555,7 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 	}
 
 	evaluate := func(round int) core.Point {
-		nn.SetWeights(evalNet, global)
-		loss, acc := core.EvalChunked(evalNet, testB, 64)
+		loss, acc := eval.Eval(global)
 		p := core.Point{Round: round, Time: time.Since(start).Seconds(), Loss: loss, Acc: acc}
 		res.Points = append(res.Points, p)
 		return p
@@ -630,6 +630,11 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 			continue
 		}
 		barren = 0
+		// Results arrive in whatever order the network delivers them, and
+		// the float mean in Aggregate depends on summation order: fix it
+		// by worker ID, as the simulator's cohort merge does.
+		slices.SortFunc(rs.outs, func(a, b core.Output) int { return cmp.Compare(a.Worker, b.Worker) })
+		slices.SortFunc(rs.dropped, func(a, b core.Assignment) int { return cmp.Compare(a.Worker, b.Worker) })
 
 		for i := range rs.outs {
 			o := &rs.outs[i]
