@@ -94,10 +94,11 @@ check: vet lint build test test-kernels race perfbench-test
 
 # ci is the offline continuous-integration entry point: the full check
 # pipeline, the stale-hatch audit, a race-checked transport smoke
-# (two-worker loopback round over the binary wire codec, sim/wire parity,
-# and a mid-run PS kill/restart that must recover from its checkpoint),
+# (two-worker loopback round over the binary wire codec, sim/wire
+# trajectory parity, and a mid-run PS kill/restart that must recover from
+# its checkpoint),
 # then a bench smoke run (one static table plus one quick sim-backed
 # figure) proving the experiment CLI still runs end to end.
 ci: check lint-bench lint-hatches
-	go test -race -run 'TestLoopbackSmoke|TestSimWireBytesParity|TestPSKillRestartRecovery' ./internal/transport
+	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

@@ -46,7 +46,7 @@ func (r *runner) runAsync() error {
 	// synchronous engine's cohorts; completions are pushed in assignment
 	// order, so the event sequence matches the serial engine's exactly.
 	dispatch := func(round int, workers []int) error {
-		info := r.roundInfo(round)
+		info := r.led.Info(round)
 		var faults []cluster.Fault
 		if r.injector != nil {
 			faults = r.injector.Advance(round)
@@ -115,27 +115,16 @@ func (r *runner) runAsync() error {
 			}
 			outs = append(outs, it.out)
 		}
-		info := r.roundInfo(round)
-		newGlobal, err := r.strategy.Aggregate(info, outs, dropped)
-		if err != nil {
-			return err
-		}
-		r.global = newGlobal
-		roundTime := roundEnd - r.now
-		if roundTime < 0 {
-			roundTime = 0
-		}
+		info := r.led.Info(round)
 		info.DecisionSeconds += r.pendingDecision
 		info.PruneSeconds += r.pendingPrune
 		r.pendingDecision, r.pendingPrune = 0, 0
-		r.finishRound(round, info, outs, dropped, 0, roundTime)
-
-		if stop, err := r.evalAndCheck(round); err != nil {
+		roundTime := max(roundEnd-r.now, 0)
+		r.advance(roundTime)
+		if err := r.led.Close(round, info, outs, dropped, 0, roundTime); err != nil {
 			return err
-		} else if stop {
-			return nil
 		}
-		if r.stopByBudget(round) {
+		if r.evalAndCheck(round) {
 			return nil
 		}
 

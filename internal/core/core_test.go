@@ -438,33 +438,79 @@ func TestSliceBatch(t *testing.T) {
 	}
 }
 
+// TestTopKUpdate pins the FlexCom path of Upload: the top fraction k of
+// coordinates by magnitude, clamped to one, with the feedback added before
+// the selection and the unsent remainder returned as leftover.
 func TestTopKUpdate(t *testing.T) {
-	before := []*tensor.Tensor{tensor.FromSlice([]float32{0, 0, 0, 0}, 4)}
-	after := []*tensor.Tensor{tensor.FromSlice([]float32{1, -3, 0.5, 2}, 4)}
-	update, nnz := topKUpdate(before, after, 0.5)
-	if nnz != 2 {
-		t.Fatalf("nnz = %d, want 2", nnz)
+	upload := func(k float64, feedback []float32) (wire, leftover []float32) {
+		before := []*tensor.Tensor{tensor.FromSlice([]float32{0, 0, 0, 0}, 4)}
+		after := []*tensor.Tensor{tensor.FromSlice([]float32{1, -3, 0.5, 2}, 4)}
+		var fb []*tensor.Tensor
+		if feedback != nil {
+			fb = []*tensor.Tensor{tensor.FromSlice(feedback, 4)}
+		}
+		w, _, l := Upload(before, after, fb, k, false)
+		return w[0].Data, l[0].Data
+	}
+	nnz := func(v []float32) int {
+		n := 0
+		for _, x := range v {
+			if x != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	equal := func(got, want []float32) bool {
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
 	}
 	// The two largest magnitudes are -3 and 2.
-	want := []float32{0, -3, 0, 2}
-	for i, w := range want {
-		if update[0].Data[i] != w {
-			t.Errorf("update = %v, want %v", update[0].Data, want)
-			break
-		}
+	if got, left := upload(0.5, nil); !equal(got, []float32{0, -3, 0, 2}) || !equal(left, []float32{1, 0, 0.5, 0}) {
+		t.Errorf("k=0.5: update %v leftover %v", got, left)
 	}
 	// k too small clamps to one coordinate.
-	_, nnz = topKUpdate(before, after, 0.0001)
-	if nnz != 1 {
-		t.Errorf("min-keep nnz = %d, want 1", nnz)
+	if got, _ := upload(0.0001, nil); nnz(got) != 1 {
+		t.Errorf("min-keep update %v, want one coordinate", got)
 	}
 	// k = 1 keeps all non-zero coordinates.
-	update, _ = topKUpdate(before, after, 1)
-	for i, v := range []float32{1, -3, 0.5, 2} {
-		if update[0].Data[i] != v {
-			t.Errorf("full update = %v", update[0].Data)
-			break
+	if got, left := upload(1, nil); !equal(got, []float32{1, -3, 0.5, 2}) || nnz(left) != 0 {
+		t.Errorf("full update %v leftover %v", got, left)
+	}
+	// Feedback re-enters the selection: 0.5+4 now outranks 2.
+	if got, left := upload(0.5, []float32{0, 0, 4, 0}); !equal(got, []float32{0, -3, 4.5, 0}) || !equal(left, []float32{1, 0, 0, 2}) {
+		t.Errorf("with feedback: update %v leftover %v", got, left)
+	}
+}
+
+// TestApplyDelta pins the dense reconstruction both runtimes share: base
+// plus delta without mutating the base, and errors instead of panics on
+// mismatched payloads.
+func TestApplyDelta(t *testing.T) {
+	base := []*tensor.Tensor{tensor.FromSlice([]float32{1, 2, 3, 4}, 4)}
+	delta := []*tensor.Tensor{tensor.FromSlice([]float32{0.5, 0, -1, 2}, 4)}
+	got, err := ApplyDelta(base, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float32{1.5, 2, 2, 6}
+	for i, v := range want {
+		if got[0].Data[i] != v {
+			t.Errorf("reconstructed[%d] = %v, want %v", i, got[0].Data[i], v)
 		}
+	}
+	if base[0].Data[0] != 1 {
+		t.Error("ApplyDelta mutated the assignment weights")
+	}
+	if _, err := ApplyDelta(base, nil); err == nil {
+		t.Error("tensor-count mismatch accepted")
+	}
+	if _, err := ApplyDelta(base, []*tensor.Tensor{tensor.New(3)}); err == nil {
+		t.Error("element-count mismatch accepted")
 	}
 }
 

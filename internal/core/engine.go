@@ -20,7 +20,6 @@ type runner struct {
 	strategy Strategy
 	devices  []*cluster.Device
 	sources  []Source
-	eval     *Evaluator
 	rng      *rand.Rand
 	injector *cluster.Injector
 
@@ -41,37 +40,19 @@ type runner struct {
 	regionDown []bool
 	nextWindow int64
 
-	global    []*tensor.Tensor
-	now       float64
-	prevLoss  float64
-	prevTimes []float64
-	prevComm  []float64
-	roundSum  float64
-	roundCnt  int
-
-	// infoTimes/infoComm are the double-buffered RoundInfo snapshots:
-	// strategies may read the slices only during the round they were built
-	// for, so two buffers (dispatch and aggregate can hold one each in the
-	// async engine) alternate without per-round allocation.
-	infoTimes [2][]float64
-	infoComm  [2][]float64
-	infoFlip  int
+	// led is the round ledger; its clock reads now, the virtual time.
+	led *Ledger
+	now float64
 	// timesScratch backs the deadline quantile selection.
 	timesScratch []float64
-
-	// stream receives per-round/per-eval observations instead of the
-	// Stats/Points appends when cfg.StreamMetrics is set.
-	stream *StreamStats
 
 	// pendingDecision/pendingPrune carry async dispatch overhead into the
 	// next completed round's stats.
 	pendingDecision, pendingPrune float64
-
-	res *Result
 }
 
 // newRunner validates cfg and builds the engine: strategy, data sources,
-// device scenario or population and the freshly initialised global model.
+// device scenario or population and the round ledger.
 // The normalized config is returned alongside so callers branch on
 // defaults, not raw input.
 func newRunner(fam Family, cfg Config) (*runner, Config, error) {
@@ -101,32 +82,18 @@ func newRunner(fam Family, cfg Config) (*runner, Config, error) {
 	if err != nil {
 		return nil, cfg, err
 	}
-	eval, err := NewEvaluator(fam, cfg.Seed, fam.TestBatch(cfg.EvalLimit))
+	r := &runner{
+		cfg:      cfg,
+		fam:      fam,
+		strategy: strategy,
+		devices:  devices,
+		sources:  sources,
+		rng:      rand.New(rand.NewSource(cfg.Seed + 29)),
+		sched:    simsched.New(4*cfg.Workers + 8),
+	}
+	r.led, err = NewLedger(fam, cfg, strategy, func() float64 { return r.now })
 	if err != nil {
 		return nil, cfg, err
-	}
-	r := &runner{
-		cfg:       cfg,
-		fam:       fam,
-		strategy:  strategy,
-		devices:   devices,
-		sources:   sources,
-		eval:      eval,
-		rng:       rand.New(rand.NewSource(cfg.Seed + 29)),
-		sched:     simsched.New(4*cfg.Workers + 8),
-		global:    fam.InitWeights(cfg.Seed),
-		prevLoss:  math.NaN(),
-		prevTimes: make([]float64, cfg.Workers),
-		prevComm:  make([]float64, cfg.Workers),
-		res: &Result{
-			Config:           cfg,
-			TimeToTargetAcc:  math.Inf(1),
-			TimeToTargetLoss: math.Inf(1),
-		},
-	}
-	for b := range r.infoTimes {
-		r.infoTimes[b] = make([]float64, cfg.Workers)
-		r.infoComm[b] = make([]float64, cfg.Workers)
 	}
 	if cfg.Population != nil {
 		r.pop = cfg.Population
@@ -137,10 +104,6 @@ func newRunner(fam Family, cfg Config) (*runner, Config, error) {
 		if cfg.Population.Outage.Enabled() {
 			r.regionDown = make([]bool, cfg.Population.Outage.Regions)
 		}
-	}
-	if cfg.StreamMetrics {
-		r.stream = newStreamStats()
-		r.res.Stream = r.stream
 	}
 	if cfg.Faults.Enabled() {
 		r.injector = cluster.NewInjector(cfg.Faults, cfg.Workers)
@@ -156,7 +119,7 @@ func Run(fam Family, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.evaluate(0)
+	r.led.Evaluate(0)
 	if normCfg.Async {
 		err = r.runAsync()
 	} else {
@@ -192,7 +155,7 @@ func (r *runner) runSync(start int) error {
 			faults = r.injector.Advance(round)
 		}
 		available, suspect := r.roundWorkers(faults)
-		info := r.roundInfo(round)
+		info := r.led.Info(round)
 		var outs []Output
 		failed := make([]Assignment, 0)
 		if len(available) > 0 {
@@ -235,19 +198,11 @@ func (r *runner) runSync(start int) error {
 			roundTime = math.Max(info.MeanRoundTime, 1)
 		}
 
-		newGlobal, err := r.strategy.Aggregate(info, participants, dropped)
-		if err != nil {
+		r.advance(roundTime)
+		if err := r.led.Close(round, info, participants, dropped, suspect, roundTime); err != nil {
 			return err
 		}
-		r.global = newGlobal
-		r.finishRound(round, info, participants, dropped, suspect, roundTime)
-
-		if stop, err := r.evalAndCheck(round); err != nil {
-			return err
-		} else if stop {
-			return nil
-		}
-		if r.stopByBudget(round) {
+		if r.evalAndCheck(round) {
 			return nil
 		}
 	}
@@ -278,150 +233,36 @@ func (r *runner) deviceFor(w int) *cluster.Device {
 	return r.devices[w]
 }
 
-// roundInfo snapshots the server view for the strategy. The PrevTimes and
-// PrevCommTimes slices alternate between two runner-owned buffers —
-// strategies may read them only until the next-next roundInfo call (the
-// async engine keeps a dispatch info and an aggregate info alive at once,
-// hence two buffers rather than one), so no per-round copies are
-// allocated.
-func (r *runner) roundInfo(round int) *RoundInfo {
-	mean := 0.0
-	if r.roundCnt > 0 {
-		mean = r.roundSum / float64(r.roundCnt)
-	}
-	b := r.infoFlip & 1
-	r.infoFlip++
-	copy(r.infoTimes[b], r.prevTimes)
-	copy(r.infoComm[b], r.prevComm)
-	return &RoundInfo{
-		Round:         round,
-		Global:        r.global,
-		PrevLoss:      r.prevLoss,
-		PrevTimes:     r.infoTimes[b],
-		PrevCommTimes: r.infoComm[b],
-		MeanRoundTime: mean,
-	}
-}
-
-// finishRound updates clocks and records per-round statistics — appended
-// RoundStats by default, folded into the streaming aggregate under
-// StreamMetrics. suspect counts workers skipped up front this round
-// (recovering from an injected crash).
-func (r *runner) finishRound(round int, info *RoundInfo, outs []Output, dropped []Assignment, suspect int, roundTime float64) {
+// advance moves the virtual clock past a closed round.
+func (r *runner) advance(roundTime float64) {
 	r.now += roundTime
 	r.sched.Advance(r.now)
-	r.roundSum += roundTime
-	r.roundCnt++
-	r.res.Rounds = round
-
-	var comp, comm float64
-	var down, up int64
-	for _, o := range outs {
-		comp += o.CompTime
-		comm += o.CommTime
-		down += o.DownBytes
-		up += o.UpBytes
-		r.prevTimes[o.Worker] = o.Total
-		r.prevComm[o.Worker] = o.CommTime
-	}
-	if len(outs) > 0 {
-		comp /= float64(len(outs))
-		comm /= float64(len(outs))
-		r.prevLoss = meanTrainLoss(outs)
-	}
-	if r.stream != nil {
-		r.stream.observeRound(roundTime, comp, comm, down, up, len(outs), len(dropped), suspect)
-		return
-	}
-	stat := RoundStat{
-		Round:           round,
-		Time:            roundTime,
-		CompTime:        comp,
-		CommTime:        comm,
-		DownBytes:       down,
-		UpBytes:         up,
-		DecisionSeconds: info.DecisionSeconds,
-		PruneSeconds:    info.PruneSeconds,
-		Participants:    len(outs),
-		Dropped:         len(dropped),
-		Suspect:         suspect,
-		Ratios:          make([]float64, r.cfg.Workers),
-	}
-	for _, o := range outs {
-		stat.Ratios[o.Worker] = o.Ratio
-	}
-	r.res.Stats = append(r.res.Stats, stat)
 }
 
-// evalAndCheck evaluates on schedule and reports whether a quality target
-// was met. In the synchronous engine the evaluation is itself a scheduler
+// evalAndCheck evaluates on schedule and reports whether the run should
+// stop: an evaluation met a quality target, or the round or time budget is
+// spent. In the synchronous engine the evaluation is itself a scheduler
 // event: pushed at the round's close time and popped through the heap, so
 // any churn that came due during the round is dispatched first, in
 // virtual-time order. The async engine evaluates directly — its heap holds
 // live in-flight completions that must stay queued for later rounds.
-func (r *runner) evalAndCheck(round int) (bool, error) {
-	if round%r.cfg.EvalEvery != 0 {
-		return false, nil
-	}
-	if !r.cfg.Async {
-		r.sched.Push(r.now, simsched.KindEval, int64(round))
-		for {
-			ev, ok := r.sched.Pop()
-			if !ok {
-				break
+func (r *runner) evalAndCheck(round int) bool {
+	if round%r.cfg.EvalEvery == 0 {
+		if !r.cfg.Async {
+			r.sched.Push(r.now, simsched.KindEval, int64(round))
+			for {
+				ev, ok := r.sched.Pop()
+				if !ok || ev.Kind == simsched.KindEval {
+					break
+				}
+				r.dispatchEvent(ev)
 			}
-			if ev.Kind == simsched.KindEval {
-				break
-			}
-			r.dispatchEvent(ev)
+		}
+		if _, met := r.led.Evaluate(round); met {
+			return true
 		}
 	}
-	p := r.evaluate(round)
-	if r.cfg.TargetAccuracy > 0 && p.Acc >= r.cfg.TargetAccuracy {
-		if math.IsInf(r.res.TimeToTargetAcc, 1) {
-			r.res.TimeToTargetAcc = r.now
-		}
-		return true, nil
-	}
-	if r.cfg.TargetLoss > 0 && p.Loss <= r.cfg.TargetLoss {
-		if math.IsInf(r.res.TimeToTargetLoss, 1) {
-			r.res.TimeToTargetLoss = r.now
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// stopByBudget reports whether the round or time caps are exhausted.
-func (r *runner) stopByBudget(round int) bool {
-	if r.cfg.Rounds > 0 && round >= r.cfg.Rounds {
-		return true
-	}
-	if r.cfg.TimeBudget > 0 && r.now >= r.cfg.TimeBudget {
-		return true
-	}
-	return false
-}
-
-// evaluate measures the global model on the test batch and records a Point
-// (or the streaming aggregate under StreamMetrics).
-func (r *runner) evaluate(round int) Point {
-	loss, acc := r.eval.Eval(r.global)
-	p := Point{Round: round, Time: r.now, Loss: loss, Acc: acc}
-	if r.stream != nil {
-		r.stream.observeEval(round, r.now, loss, acc)
-	} else {
-		r.res.Points = append(r.res.Points, p)
-	}
-	// Track first-crossing times even when the run continues for other
-	// reasons (e.g. time-budget sweeps reading the trajectory).
-	if r.cfg.TargetAccuracy > 0 && acc >= r.cfg.TargetAccuracy && math.IsInf(r.res.TimeToTargetAcc, 1) {
-		r.res.TimeToTargetAcc = r.now
-	}
-	if r.cfg.TargetLoss > 0 && loss <= r.cfg.TargetLoss && math.IsInf(r.res.TimeToTargetLoss, 1) {
-		r.res.TimeToTargetLoss = r.now
-	}
-	return p
+	return r.led.Stop(round)
 }
 
 // runWorker executes one assignment: local training for real, virtual time
@@ -457,8 +298,6 @@ func (r *runner) runWorker(a Assignment, round int) (Output, error) {
 		opt.Step(net.Params())
 		lossSum += loss
 	}
-	newW := nn.GetWeights(net)
-
 	fwd, err := r.fam.ForwardFLOPs(a.Desc)
 	if err != nil {
 		return Output{}, err
@@ -489,50 +328,18 @@ func (r *runner) runWorker(a Assignment, round int) (Output, error) {
 		CompTime:   comp,
 		DownBytes:  down,
 	}
+	// The upload is priced as the wire carries it; the server side of the
+	// round then holds what the wire delivers.
 	result := &codec.Result{Round: round, TrainLoss: out.TrainLoss}
+	wire, delivered, leftover := Upload(aw, nn.GetWeights(net), a.Feedback, a.UploadK, r.cfg.QuantizeWire)
 	if a.UploadK > 0 {
-		// Error feedback: unsent deltas from previous rounds re-enter the
-		// selection, the standard fix for top-K compression stalls.
-		delta := nn.CloneWeights(newW)
-		for i := range delta {
-			delta[i].Sub(aw[i])
-			if a.Feedback != nil {
-				delta[i].Add(a.Feedback[i])
-			}
-		}
-		update, _ := topKOf(delta, a.UploadK)
-		result.Update = update
-		// The server aggregates what the wire delivers; with quantization on
-		// that is the int8 reconstruction of the update, and the leftover the
-		// worker carries forward compensates the quantization error too.
-		sent := update
-		if r.cfg.QuantizeWire {
-			sent = codec.Dequantized(update)
-		}
-		out.Update = sent
-		leftover := delta
-		for i := range leftover {
-			leftover[i].Sub(sent[i])
-		}
+		result.Update = wire
+		out.Update = delivered
 		out.Leftover = leftover
 	} else {
-		// The wire runtime uploads only the trained-minus-assigned delta
-		// (the server reconstructs); price the same message here.
-		delta := nn.CloneWeights(newW)
-		for i := range delta {
-			delta[i].Sub(aw[i])
-		}
-		result.Delta = delta
-		if r.cfg.QuantizeWire {
-			// Mirror the server-side reconstruction: the weights the strategy
-			// kept plus the delta as it survives the quantized upload.
-			nw := nn.CloneWeights(a.Weights)
-			for i, d := range codec.Dequantized(delta) {
-				nw[i].Add(d)
-			}
-			out.NewWeights = nw
-		} else {
-			out.NewWeights = newW
+		result.Delta = wire
+		if out.NewWeights, err = ApplyDelta(a.Weights, delivered); err != nil {
+			return Output{}, err
 		}
 	}
 	up, err := codec.FrameBytes(&codec.Envelope{Kind: codec.KindResult, Quantize: r.cfg.QuantizeWire, Result: result})
@@ -545,24 +352,63 @@ func (r *runner) runWorker(a Assignment, round int) (Output, error) {
 	return out, nil
 }
 
-// TopKUpdate computes the sparse FlexCom update like topKUpdate but returns
-// only the tensors; the network transport uses it on the worker side.
-func TopKUpdate(before, after []*tensor.Tensor, k float64) []*tensor.Tensor {
-	update, _ := topKUpdate(before, after, k)
-	return update
+// Upload prepares what a worker ships for one trained assignment and what
+// the server holds once it arrives; the simulated and the TCP worker both
+// call it. base is the model the worker trained from and trained the model
+// it ended with (overwritten: it becomes the delta). Dense mode (k <= 0)
+// ships the trained-minus-base delta. FlexCom mode (k > 0) first adds
+// feedback, the compression error earlier uploads left behind (nil for
+// none), then keeps the top fraction k of each tensor's coordinates. wire
+// is the message payload; delivered is wire as the server decodes it (the
+// codec's int8 reconstruction when quantize is set); leftover, in FlexCom
+// mode, is what this upload left behind — the next round's feedback, so
+// quantization error is compensated too.
+func Upload(base, trained, feedback []*tensor.Tensor, k float64, quantize bool) (wire, delivered, leftover []*tensor.Tensor) {
+	for i, d := range trained {
+		d.Sub(base[i])
+		if k > 0 && feedback != nil {
+			d.Add(feedback[i])
+		}
+	}
+	wire = trained
+	if k > 0 {
+		wire, _ = topKOf(trained, k)
+	}
+	delivered = wire
+	if quantize {
+		delivered = codec.Dequantized(wire)
+	}
+	if k > 0 {
+		leftover = trained
+		for i := range leftover {
+			leftover[i].Sub(delivered[i])
+		}
+	}
+	return wire, delivered, leftover
 }
 
-// topKUpdate computes the model delta and keeps only the top fraction k of
-// coordinates by magnitude (across the whole model), returning the sparse
-// update in dense form plus the kept-coordinate count.
-func topKUpdate(before, after []*tensor.Tensor, k float64) ([]*tensor.Tensor, int) {
-	deltas := make([]*tensor.Tensor, len(before))
-	for i := range before {
-		d := after[i].Clone()
-		d.Sub(before[i])
-		deltas[i] = d
+// ApplyDelta reconstructs a worker's trained weights from the assigned
+// weights plus the delta as delivered (the dense upload never repeats what
+// the server just sent). Both runtimes build Output.NewWeights this way.
+// base is cloned, never mutated — it may alias strategy state. A delta that
+// does not match the assignment's shapes is an error, not a panic: on the
+// wire it is a malformed result.
+func ApplyDelta(base, delta []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if len(delta) != len(base) {
+		return nil, fmt.Errorf("delta has %d tensors, assignment has %d", len(delta), len(base))
 	}
-	return topKOf(deltas, k)
+	out := nn.CloneWeights(base)
+	for i := range out {
+		if len(delta[i].Data) != len(out[i].Data) {
+			return nil, fmt.Errorf("delta tensor %d has %d elements, assignment has %d",
+				i, len(delta[i].Data), len(out[i].Data))
+		}
+		dst, src := out[i].Data, delta[i].Data
+		for j := range dst {
+			dst[j] += src[j]
+		}
+	}
+	return out, nil
 }
 
 // magPool recycles the magnitude scratch topKOf ranks in — one buffer per

@@ -4,36 +4,19 @@ import (
 	"fmt"
 
 	"fedmp/internal/bandit"
-	"fedmp/internal/nn"
-	"fedmp/internal/tensor"
+	"fedmp/internal/transport/codec"
 )
 
-// State is the engine's complete resumable snapshot at the close of a round:
-// the aggregated global model plus the scalar and per-worker bookkeeping the
-// strategies read through RoundInfo. A run resumed from a State via RunFrom
-// continues at Round+1 exactly where the original left off — same global
-// weights, same loss baseline for the Eq. 8 rewards, same bandit statistics.
-// The TCP runtime persists this (through codec.Snapshot) as its checkpoint
-// payload; the simulation engine uses it directly for restart experiments.
-type State struct {
-	// Round is the last completed round.
-	Round int
-	// Global is the aggregated global model after Round.
-	Global []*tensor.Tensor
-	// PrevLoss is Round's mean local training loss (NaN before the first
-	// aggregation).
-	PrevLoss float64
-	// RoundSum is the accumulated virtual round time; MeanRoundTime is
-	// RoundSum/Round.
-	RoundSum float64
-	// PrevTimes and PrevComm are each worker's most recent total and
-	// communication times, indexed by worker.
-	PrevTimes []float64
-	PrevComm  []float64
-	// Bandits are the per-worker pruning-ratio policy states (nil entries,
-	// or a nil slice, for strategies without per-worker bandits).
-	Bandits []*bandit.State
-}
+// State is a run's complete resumable snapshot at the close of a round: the
+// aggregated global model, the scalar and per-worker bookkeeping the
+// strategies read through RoundInfo, and one Workers entry per slot with
+// its last ratio and bandit state. A run resumed from a State continues at
+// Round+1 exactly where the original left off — same global weights, same
+// loss baseline for the Eq. 8 rewards, same bandit statistics. It is the
+// codec's durable snapshot: the TCP runtime checkpoints it (adding each
+// slot's stable worker ID and name) and the simulator resumes from it via
+// RunFrom.
+type State = codec.Snapshot
 
 // BanditPersistent is implemented by strategies whose per-worker ratio
 // policies survive a restart. Strategies without durable policy state simply
@@ -46,92 +29,6 @@ type BanditPersistent interface {
 	// empty slice is a no-op; a length mismatch or incompatible state is
 	// an error and leaves the strategy unchanged.
 	RestoreBandits(sts []*bandit.State) error
-}
-
-// exportState snapshots the runner for resumption. Tensors and slices are
-// deep-copied: the caller may keep the State across further mutation of the
-// runner (or hand it to a goroutine) without aliasing.
-func (r *runner) exportState() *State {
-	st := &State{
-		Round:     r.res.Rounds,
-		Global:    nn.CloneWeights(r.global),
-		PrevLoss:  r.prevLoss,
-		RoundSum:  r.roundSum,
-		PrevTimes: append([]float64(nil), r.prevTimes...),
-		PrevComm:  append([]float64(nil), r.prevComm...),
-	}
-	if bp, ok := r.strategy.(BanditPersistent); ok {
-		st.Bandits = bp.ExportBandits()
-	}
-	return st
-}
-
-// restoreState injects a snapshot into a freshly built runner, validating it
-// against the run's configuration and model family before touching anything.
-func (r *runner) restoreState(st *State) error {
-	if st == nil {
-		return fmt.Errorf("core: nil resume state")
-	}
-	if st.Round < 0 {
-		return fmt.Errorf("core: resume state at negative round %d", st.Round)
-	}
-	if len(st.Global) != len(r.global) {
-		return fmt.Errorf("core: resume state has %d global tensors, model has %d",
-			len(st.Global), len(r.global))
-	}
-	for i, t := range st.Global {
-		if t == nil {
-			return fmt.Errorf("core: resume state global tensor %d is nil", i)
-		}
-		if !sameShape(t.Shape, r.global[i].Shape) {
-			return fmt.Errorf("core: resume state tensor %d has shape %v, model wants %v",
-				i, t.Shape, r.global[i].Shape)
-		}
-	}
-	for _, vs := range [][]float64{st.PrevTimes, st.PrevComm} {
-		if len(vs) != 0 && len(vs) != r.cfg.Workers {
-			return fmt.Errorf("core: resume state tracks %d workers, run has %d",
-				len(vs), r.cfg.Workers)
-		}
-	}
-	if len(st.Bandits) > 0 {
-		bp, ok := r.strategy.(BanditPersistent)
-		if !ok {
-			return fmt.Errorf("core: resume state carries bandit state but strategy %s keeps none",
-				r.strategy.Name())
-		}
-		if err := bp.RestoreBandits(st.Bandits); err != nil {
-			return err
-		}
-	}
-	r.global = nn.CloneWeights(st.Global)
-	r.prevLoss = st.PrevLoss
-	r.roundSum = st.RoundSum
-	// In a synchronous run the virtual clock and the round-time accumulator
-	// advance in lockstep, and every completed round counted once.
-	r.now = st.RoundSum
-	r.roundCnt = st.Round
-	r.res.Rounds = st.Round
-	if len(st.PrevTimes) == r.cfg.Workers {
-		copy(r.prevTimes, st.PrevTimes)
-	}
-	if len(st.PrevComm) == r.cfg.Workers {
-		copy(r.prevComm, st.PrevComm)
-	}
-	return nil
-}
-
-// sameShape reports whether two tensor shapes are identical.
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RunFrom resumes a synchronous run from a previously exported State: the
@@ -149,16 +46,15 @@ func RunFrom(fam Family, cfg Config, st *State) (*Result, error) {
 	if normCfg.Async {
 		return nil, fmt.Errorf("core: RunFrom supports synchronous runs only")
 	}
-	if err := r.restoreState(st); err != nil {
+	if err := r.led.Restore(st); err != nil {
 		return nil, err
 	}
-	if normCfg.Rounds > 0 && st.Round >= normCfg.Rounds {
-		return nil, fmt.Errorf("core: resume round %d is at or past the %d-round budget",
-			st.Round, normCfg.Rounds)
-	}
+	// In a synchronous run the virtual clock and the round-time accumulator
+	// advance in lockstep.
+	r.now = st.RoundSum
 	// Re-evaluate the restored model as the resumed trajectory's baseline
 	// point; it must match the original run's evaluation at the same round.
-	r.evaluate(st.Round)
+	r.led.Evaluate(st.Round)
 	return r.finish(r.runSync(st.Round + 1))
 }
 
@@ -167,16 +63,10 @@ func (r *runner) finish(err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(r.res.Points) > 0 {
-		last := r.res.Points[len(r.res.Points)-1]
-		r.res.FinalAcc, r.res.FinalLoss = last.Acc, last.Loss
-	} else if r.res.Stream != nil && r.res.Stream.Evals > 0 {
-		r.res.FinalAcc, r.res.FinalLoss = r.res.Stream.LastAcc, r.res.Stream.LastLoss
-	}
-	r.res.Time = r.now
-	r.res.Events = int64(r.sched.Processed())
+	res := r.led.Result()
+	res.Events = int64(r.sched.Processed())
 	if !r.cfg.Async {
-		r.res.State = r.exportState()
+		res.State = r.led.State()
 	}
-	return r.res, nil
+	return res, nil
 }

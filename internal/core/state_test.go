@@ -32,8 +32,14 @@ func TestRunFromResumesTrajectory(t *testing.T) {
 	if st.Round != 5 {
 		t.Fatalf("state at round %d, want 5", st.Round)
 	}
-	if len(st.Bandits) != full.Workers {
-		t.Fatalf("state carries %d bandit states for %d workers", len(st.Bandits), full.Workers)
+	bandits := 0
+	for _, w := range st.Workers {
+		if w.Bandit != nil {
+			bandits++
+		}
+	}
+	if bandits != full.Workers {
+		t.Fatalf("state carries %d bandit states for %d workers", bandits, full.Workers)
 	}
 
 	resumed, err := RunFrom(fam, full, st)

@@ -3,8 +3,8 @@
 // (*conn).send, (*registry).send, codec.WriteFrame, or the priced
 // codec.FrameBytes — and the frame kinds are constants, so the emission
 // order along each stream is statically checkable: protoMachine below pins
-// which kind may follow which, the static twin of TestSimWireBytesParity's
-// dynamic byte-level check. Per function in scope, each stream value (the
+// which kind may follow which, the static twin of the dynamic check in
+// the TestSimWire parity tests. Per function in scope, each stream value (the
 // send receiver, the WriteFrame writer, or a per-function pricing sentinel
 // for FrameBytes) carries the set of kinds it may last have emitted,
 // propagated forward over the CFG; an emission whose kind is illegal from

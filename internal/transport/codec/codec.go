@@ -167,12 +167,12 @@ type Shutdown struct {
 	Reason string
 }
 
-// Snapshot is the parameter server's complete durable state at the close of
-// a round: everything a restarted PS needs to resume from round Round+1
-// without re-running completed work. It is the payload of both durability
-// record kinds; the tensors round-trip bit-exactly (NaN payloads, negative
-// zero and infinities included) through the same slab/sparse encoding the
-// wire uses.
+// Snapshot is a run's complete resumable state at the close of a round:
+// everything a restarted PS (or a resumed simulation — core.State is this
+// type) needs to resume from round Round+1 without re-running completed
+// work. It is the payload of both durability record kinds; the tensors
+// round-trip bit-exactly (NaN payloads, negative zero and infinities
+// included) through the same slab/sparse encoding the wire uses.
 type Snapshot struct {
 	// Round is the last completed round.
 	Round int
@@ -181,14 +181,15 @@ type Snapshot struct {
 	// PrevLoss is the mean local training loss of Round (NaN before the
 	// first aggregation — the encoding preserves it).
 	PrevLoss float64
-	// RoundSum is the accumulated wall-clock round time, feeding the
-	// MeanRoundTime the strategies see.
+	// RoundSum is the accumulated round time on the run's clock (virtual
+	// in the simulator, wall on the wire), feeding the MeanRoundTime the
+	// strategies see.
 	RoundSum float64
 	// PrevTimes and PrevComm are each worker's most recent total and
 	// communication times (indexed by slot).
 	PrevTimes []float64
 	PrevComm  []float64
-	// Workers is the identity/ratio table: one entry per occupied slot.
+	// Workers is the identity/ratio/bandit table: one entry per slot.
 	Workers []WorkerState
 }
 

@@ -2,11 +2,7 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 
-	"fedmp/internal/bandit"
-	"fedmp/internal/core"
-	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
 )
 
@@ -16,45 +12,36 @@ import (
 // resumes from the round after the last one it closed.
 var ErrAborted = errors.New("transport: server aborted")
 
-// preseed restores the identity table from a recovered snapshot so workers
-// reconnecting after a server restart land back in their old slots (and keep
-// their bandit state, ratio history and per-slot timing). Must run before
-// the accept loop starts.
-func (r *registry) preseed(ws []codec.WorkerState) error {
+// preseed restores the identity table from a recovered snapshot (its slots
+// already validated by the ledger's Restore) so workers reconnecting after
+// a server restart land back in their old slots and keep their bandit
+// state, ratio history and per-slot timing. Must run before the accept
+// loop starts.
+func (r *registry) preseed(ws []codec.WorkerState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, w := range ws {
-		if w.Slot < 0 || w.Slot >= r.n {
-			return fmt.Errorf("transport: checkpoint worker slot %d outside 0..%d (was the server restarted with fewer workers?)",
-				w.Slot, r.n-1)
-		}
 		if w.ID != "" {
 			r.slots[w.ID] = w.Slot
 		}
 		r.names[w.Slot] = w.Name
-		if w.Slot+1 > r.next {
-			r.next = w.Slot + 1
-		}
+		r.next = max(r.next, w.Slot+1)
 	}
-	return nil
+	r.fresh = r.next
 }
 
-// workerTable snapshots the identity table: one entry per slot that has ever
-// been assigned, carrying the stable ID (empty when the worker never
-// presented one) and display name. Ratio and bandit state are filled in by
-// the caller, which owns that state.
-func (r *registry) workerTable() []codec.WorkerState {
+// label stamps each slot's stable ID (empty when the worker never presented
+// one — it cannot rejoin across a restart) and display name into a
+// snapshot's worker table, which holds one entry per slot in slot order.
+func (r *registry) label(ws []codec.WorkerState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ids := make([]string, r.n)
 	for id, slot := range r.slots {
-		ids[slot] = id
+		ws[slot].ID = id
 	}
-	out := make([]codec.WorkerState, 0, r.next)
-	for slot := 0; slot < r.next; slot++ {
-		out = append(out, codec.WorkerState{Slot: slot, ID: ids[slot], Name: r.names[slot]})
+	for slot := range ws {
+		ws[slot].Name = r.names[slot]
 	}
-	return out
 }
 
 // kill tears down every connection without the shutdown handshake,
@@ -62,77 +49,18 @@ func (r *registry) workerTable() []codec.WorkerState {
 // goodbye and enter their reconnect loops, which is exactly the client
 // behaviour a restarted server relies on.
 func (r *registry) kill() {
+	r.mu.Lock()
+	r.aborted = true
+	r.mu.Unlock()
 	r.closeDone()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, c := range r.conns {
-		if c == nil {
+	for i, s := range r.sess {
+		if s == nil {
 			continue
 		}
-		closeLogged(c, r.logf, "killed connection")
-		r.conns[i] = nil
+		closeLogged(s.c, r.logf, "killed connection")
+		r.sess[i] = nil
 		r.state[i] = stateDown
 	}
-}
-
-// checkResume validates a recovered snapshot against this run's
-// configuration before any of it is spliced into live state: the round must
-// leave budget to resume into, the model architecture must match tensor for
-// tensor, and the per-worker slices must match the configured worker count.
-func checkResume(snap *codec.Snapshot, workers, rounds int, global []*tensor.Tensor) error {
-	if snap.Round < 1 {
-		return fmt.Errorf("transport: checkpoint at round %d, want >= 1", snap.Round)
-	}
-	if snap.Round >= rounds {
-		return fmt.Errorf("transport: checkpoint already at round %d of a %d-round budget; nothing to resume", snap.Round, rounds)
-	}
-	if len(snap.Global) != len(global) {
-		return fmt.Errorf("transport: checkpoint has %d global tensors, model has %d", len(snap.Global), len(global))
-	}
-	for i := range global {
-		if !tensor.SameShape(snap.Global[i], global[i]) {
-			return fmt.Errorf("transport: checkpoint tensor %d has shape %v, model wants %v",
-				i, snap.Global[i].Shape, global[i].Shape)
-		}
-	}
-	if len(snap.PrevTimes) != workers || len(snap.PrevComm) != workers {
-		return fmt.Errorf("transport: checkpoint tracks %d/%d workers, server is configured for %d",
-			len(snap.PrevTimes), len(snap.PrevComm), workers)
-	}
-	return nil
-}
-
-// resumeBandits splices the snapshot's per-worker bandit state back into the
-// strategy. A snapshot without bandit state is a no-op; bandit state aimed
-// at a strategy that keeps none is a configuration mismatch.
-func resumeBandits(snap *codec.Snapshot, workers int, strategy core.Strategy) error {
-	sts := make([]*bandit.State, workers)
-	found := false
-	for _, w := range snap.Workers {
-		if w.Bandit == nil {
-			continue
-		}
-		if w.Slot < 0 || w.Slot >= workers {
-			return fmt.Errorf("transport: checkpoint bandit for slot %d outside 0..%d", w.Slot, workers-1)
-		}
-		sts[w.Slot] = w.Bandit
-		found = true
-	}
-	if !found {
-		return nil
-	}
-	bp, ok := strategy.(core.BanditPersistent)
-	if !ok {
-		return fmt.Errorf("transport: checkpoint carries bandit state but the configured strategy keeps none")
-	}
-	return bp.RestoreBandits(sts)
-}
-
-// exportBandits returns the strategy's per-slot bandit state, or nil when
-// the strategy keeps none.
-func exportBandits(strategy core.Strategy) []*bandit.State {
-	if bp, ok := strategy.(core.BanditPersistent); ok {
-		return bp.ExportBandits()
-	}
-	return nil
 }

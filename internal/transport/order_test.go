@@ -14,7 +14,6 @@ import (
 	"fedmp/internal/data"
 	"fedmp/internal/nn"
 	"fedmp/internal/tensor"
-	"fedmp/internal/transport/checkpoint"
 )
 
 // evalWireFamily is testFamily with a 300-example test set: five
@@ -86,17 +85,9 @@ func runPinned(t *testing.T, fam *core.ImageFamily, delays []time.Duration, roun
 	if serveErr != nil {
 		t.Fatal(serveErr)
 	}
-	m, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	snap, _, err := m.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil || snap.Round != rounds {
-		t.Fatalf("checkpoint holds %+v, want round %d", snap, rounds)
+	snap := recoverState(t, dir)
+	if snap.Round != rounds {
+		t.Fatalf("checkpoint at round %d, want %d", snap.Round, rounds)
 	}
 	return res, snap.Global
 }

@@ -8,6 +8,9 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,16 +19,43 @@ import (
 	"fedmp/internal/nn"
 )
 
-// reservePort grabs an ephemeral port deterministically.
+// portCalls counts reservePort calls.
+var portCalls atomic.Int64
+
+// reservePort finds a free loopback port below the kernel's ephemeral
+// range (/proc/sys/net/ipv4/ip_local_port_range). A port from inside that
+// range can be handed to a redialing worker as its source port while the
+// server is down — connecting to its own address — and the restarted
+// server's bind then fails with "address already in use".
 func reservePort(t *testing.T) string {
 	t.Helper()
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	low := 32768
+	if b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range"); err == nil {
+		if f := strings.Fields(string(b)); len(f) == 2 {
+			if v, err := strconv.Atoi(f[0]); err == nil {
+				low = v
+			}
+		}
 	}
-	addr := probe.Addr().String()
-	probe.Close()
-	return addr
+	const floor = 10000
+	if low <= floor {
+		low = 65536 // no room below the range: probe the whole upper space
+	}
+	// Each call starts somewhere else, derived from the process ID and a
+	// call counter: concurrently running test binaries rarely probe the same
+	// ports, and a test does not inherit the port an earlier test's
+	// lingering workers may still redial.
+	span := low - floor
+	start := (os.Getpid()*31 + int(portCalls.Add(1))*131) % span
+	for i := 0; i < span; i++ {
+		addr := fmt.Sprintf("127.0.0.1:%d", floor+(start+i)%span)
+		if probe, err := net.Listen("tcp", addr); err == nil {
+			probe.Close()
+			return addr
+		}
+	}
+	t.Fatalf("no free loopback port in %d..%d", floor, low-1)
+	return ""
 }
 
 // deadAfterWorker behaves like a normal worker for a number of rounds, then
@@ -59,7 +89,7 @@ func deadAfterWorker(t *testing.T, fam *core.ImageFamily, addr string, src core.
 		if served >= dieAfter {
 			return // die without answering
 		}
-		res, err := trainAssignment(fam, src, e.Assign, WorkerConfig{LR: 0.05, Momentum: 0.9})
+		res, _, err := trainAssignment(fam, src, e.Assign, nil, WorkerConfig{LR: 0.05, Momentum: 0.9})
 		if err != nil {
 			t.Errorf("flaky train: %v", err)
 			return
@@ -98,7 +128,7 @@ func slowWorker(t *testing.T, fam *core.ImageFamily, addr string, src core.Sourc
 			}
 		case kindAssign:
 			time.Sleep(delay)
-			res, err := trainAssignment(fam, src, e.Assign, WorkerConfig{LR: 0.05, Momentum: 0.9})
+			res, _, err := trainAssignment(fam, src, e.Assign, nil, WorkerConfig{LR: 0.05, Momentum: 0.9})
 			if err != nil {
 				t.Errorf("slow train: %v", err)
 				return
@@ -537,6 +567,24 @@ func TestLateHelloGetsShutdown(t *testing.T) {
 	<-admitted
 	if _, _, err := wc.recv(5 * time.Second); err == nil {
 		t.Fatal("connection stayed open after the late-hello shutdown frame")
+	}
+	if got := reg.connected(); got != 0 {
+		t.Fatalf("connected() = %d after a late hello, want 0", got)
+	}
+}
+
+// TestLateHelloAfterAbortIsHungUp pins the abort side of the late-hello
+// path: a worker whose redial reaches an aborted server before its
+// listener closes gets a bare hangup, as from a crashed server, and so
+// keeps redialing until the next incarnation answers.
+func TestLateHelloAfterAbortIsHungUp(t *testing.T) {
+	reg := newRegistry(1, func(string, ...any) {})
+	reg.kill()
+	serverRaw, workerRaw := net.Pipe()
+	defer workerRaw.Close()
+	go reg.admit(newConn(serverRaw), &helloMsg{Name: "late", ID: "late"})
+	if e, _, err := newConn(workerRaw).recv(5 * time.Second); err == nil {
+		t.Fatalf("late hello after an abort got a kind %d frame, want a bare hangup", e.Kind)
 	}
 	if got := reg.connected(); got != 0 {
 		t.Fatalf("connected() = %d after a late hello, want 0", got)

@@ -4,17 +4,13 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"slices"
 	"sync"
 	"time"
 
 	"fedmp/internal/core"
-	"fedmp/internal/nn"
-	"fedmp/internal/tensor"
 	"fedmp/internal/transport/checkpoint"
-	"fedmp/internal/transport/codec"
 )
 
 // ServerConfig parameterises a parameter server.
@@ -124,10 +120,18 @@ type event struct {
 // to bound how long a dead-but-undetected connection can linger.
 const idleTimeout = 24 * time.Hour
 
+// session is one live connection in a slot. Its reader tags events with
+// slot, read under the registry mutex, so ordering the slots by worker ID
+// at startup can move sessions under their running readers.
+type session struct {
+	c    *conn
+	slot int
+}
+
 // registry owns the worker sessions: slot assignment by stable identity,
-// per-slot connections with generation counters (a rejoin bumps the
-// generation so the replaced reader's exit cannot tear down the new
-// session), and the event stream the round loop consumes.
+// one session per slot (a rejoin replaces it, so the replaced reader's exit
+// cannot tear down the new session), and the event stream the round loop
+// consumes.
 type registry struct {
 	logf func(string, ...any)
 	n    int
@@ -135,10 +139,12 @@ type registry struct {
 	mu    sync.Mutex
 	slots map[string]int // stable identity -> slot
 	names []string
-	conns []*conn
-	gens  []int
+	sess  []*session
 	state []int
 	next  int // next unassigned slot
+	fresh int // first slot not preseeded from a checkpoint
+	// aborted marks a kill: late connections get no shutdown frame.
+	aborted bool
 
 	events chan event
 	joined chan struct{} // one token per successful (re)join
@@ -155,8 +161,7 @@ func newRegistry(n int, logf func(string, ...any)) *registry {
 		n:      n,
 		slots:  make(map[string]int),
 		names:  make([]string, n),
-		conns:  make([]*conn, n),
-		gens:   make([]int, n),
+		sess:   make([]*session, n),
 		state:  make([]int, n),
 		events: make(chan event, 8*n+16),
 		joined: make(chan struct{}, 4*n+16),
@@ -168,19 +173,27 @@ func newRegistry(n int, logf func(string, ...any)) *registry {
 // its old slot (rejoin), a new identity takes the next free slot, and a
 // stranger arriving at a full server is turned away.
 func (r *registry) admit(c *conn, hello *helloMsg) {
+	r.mu.Lock()
 	select {
 	case <-r.done:
 		// Shutdown raced the accept loop: a connection hello'd after the
-		// registry closed must not resurrect a slot. Tell the worker why
-		// before closing — like the server-full rejection below — so the
-		// hangup reads as a clean shutdown rather than a transport fault
-		// that sends the worker back into its redial loop.
-		sendShutdownLogged(c, "server shutting down", r.logf)
+		// registry closed must not resurrect a slot. After an orderly
+		// shutdown, tell the worker why before closing — like the
+		// server-full rejection below — so the hangup reads as a clean
+		// shutdown rather than a transport fault that sends the worker back
+		// into its redial loop. After an abort, hang up without a word, as
+		// a crashed server would: the worker redials the next incarnation.
+		// The check holds the mutex, so shutdown and kill, which close the
+		// sessions under it after closing done, cannot miss this one.
+		aborted := r.aborted
+		r.mu.Unlock()
+		if !aborted {
+			sendShutdownLogged(c, "server shutting down", r.logf)
+		}
 		closeLogged(c, r.logf, "late connection")
 		return
 	default:
 	}
-	r.mu.Lock()
 	slot := -1
 	if hello.ID != "" {
 		if s, ok := r.slots[hello.ID]; ok {
@@ -202,13 +215,12 @@ func (r *registry) admit(c *conn, hello *helloMsg) {
 			r.slots[hello.ID] = slot
 		}
 	}
-	if old := r.conns[slot]; old != nil {
-		closeLogged(old, r.logf, "replaced connection")
+	if old := r.sess[slot]; old != nil {
+		closeLogged(old.c, r.logf, "replaced connection")
 	}
+	s := &session{c: c, slot: slot}
 	r.names[slot] = hello.Name
-	r.conns[slot] = c
-	r.gens[slot]++
-	gen := r.gens[slot]
+	r.sess[slot] = s
 	r.state[slot] = stateActive
 	r.mu.Unlock()
 
@@ -217,24 +229,58 @@ func (r *registry) admit(c *conn, hello *helloMsg) {
 	} else {
 		r.logf("worker %d joined: %s", slot, hello.Name)
 	}
-	go r.read(slot, gen, c)
+	go r.read(s)
 	select {
 	case r.joined <- struct{}{}:
 	default:
 	}
 }
 
+// orderSlots gives the workers that joined since startup (every slot not
+// preseeded from a checkpoint) their slots in worker-ID order, so which
+// worker trains as slot i does not depend on hello arrival order. It runs
+// once every slot has joined, before the first round.
+func (r *registry) orderSlots() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ids := make([]string, r.n)
+	for id, slot := range r.slots {
+		ids[slot] = id
+	}
+	order := make([]int, 0, r.next-r.fresh)
+	for slot := r.fresh; slot < r.next; slot++ {
+		order = append(order, slot)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
+	names := slices.Clone(r.names)
+	sess := slices.Clone(r.sess)
+	state := slices.Clone(r.state)
+	for i, old := range order {
+		slot := r.fresh + i
+		if ids[old] != "" {
+			r.slots[ids[old]] = slot
+		}
+		r.names[slot], r.sess[slot], r.state[slot] = names[old], sess[old], state[old]
+		if s := sess[old]; s != nil {
+			s.slot = slot
+		}
+	}
+}
+
 // read pumps one connection's envelopes into the event stream until the
 // connection dies or is replaced by a rejoin.
-func (r *registry) read(slot, gen int, c *conn) {
+func (r *registry) read(s *session) {
 	for {
-		e, n, err := c.recv(idleTimeout)
+		e, n, err := s.c.recv(idleTimeout)
 		if err != nil {
-			if r.drop(slot, gen) {
+			if slot, ok := r.drop(s); ok {
 				r.push(event{worker: slot, env: nil})
 			}
 			return
 		}
+		r.mu.Lock()
+		slot := s.slot
+		r.mu.Unlock()
 		r.push(event{worker: slot, env: e, bytes: n})
 	}
 }
@@ -247,37 +293,37 @@ func (r *registry) push(ev event) {
 	}
 }
 
-// drop tears down a slot's session if the generation still matches (a rejoin
-// bumps it first, making the old reader's teardown a no-op). Reports whether
+// drop tears down s if it still holds its slot (a rejoin replaces it first,
+// making the old reader's teardown a no-op). Reports the slot and whether
 // it acted.
-func (r *registry) drop(slot, gen int) bool {
+func (r *registry) drop(s *session) (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.gens[slot] != gen || r.conns[slot] == nil {
-		return false
+	if r.sess[s.slot] != s {
+		return 0, false
 	}
-	closeLogged(r.conns[slot], r.logf, "dropped connection")
-	r.conns[slot] = nil
-	r.state[slot] = stateDown
-	return true
+	closeLogged(s.c, r.logf, "dropped connection")
+	r.sess[s.slot] = nil
+	r.state[s.slot] = stateDown
+	return s.slot, true
 }
 
 // send transmits to a slot's current connection, returning the frame's
 // measured wire size.
 func (r *registry) send(slot int, e *envelope) (int, error) {
 	r.mu.Lock()
-	c := r.conns[slot]
+	s := r.sess[slot]
 	r.mu.Unlock()
-	if c == nil {
+	if s == nil {
 		return 0, fmt.Errorf("transport: worker %d disconnected", slot)
 	}
-	return c.send(e)
+	return s.c.send(e)
 }
 
 // markSuspect demotes a connected worker that missed a round.
 func (r *registry) markSuspect(slot int) {
 	r.mu.Lock()
-	if r.conns[slot] != nil {
+	if r.sess[slot] != nil {
 		r.state[slot] = stateSuspect
 	}
 	r.mu.Unlock()
@@ -286,7 +332,7 @@ func (r *registry) markSuspect(slot int) {
 // restore promotes a suspect worker that answered back to active.
 func (r *registry) restore(slot int) {
 	r.mu.Lock()
-	if r.conns[slot] != nil && r.state[slot] == stateSuspect {
+	if r.sess[slot] != nil && r.state[slot] == stateSuspect {
 		r.state[slot] = stateActive
 		r.mu.Unlock()
 		r.logf("worker %d answered again, restoring", slot)
@@ -301,7 +347,7 @@ func (r *registry) active() []int {
 	defer r.mu.Unlock()
 	var out []int
 	for i := 0; i < r.n; i++ {
-		if r.conns[i] != nil && r.state[i] == stateActive {
+		if r.sess[i] != nil && r.state[i] == stateActive {
 			out = append(out, i)
 		}
 	}
@@ -314,7 +360,7 @@ func (r *registry) suspects() []int {
 	defer r.mu.Unlock()
 	var out []int
 	for i := 0; i < r.n; i++ {
-		if r.conns[i] != nil && r.state[i] == stateSuspect {
+		if r.sess[i] != nil && r.state[i] == stateSuspect {
 			out = append(out, i)
 		}
 	}
@@ -326,8 +372,8 @@ func (r *registry) connected() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cnt := 0
-	for _, c := range r.conns {
-		if c != nil {
+	for _, s := range r.sess {
+		if s != nil {
 			cnt++
 		}
 	}
@@ -345,42 +391,42 @@ func (r *registry) shutdown(reason string) {
 	r.closeDone()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, c := range r.conns {
-		if c == nil {
+	for i, s := range r.sess {
+		if s == nil {
 			continue
 		}
-		sendShutdownLogged(c, reason, r.logf)
-		closeLogged(c, r.logf, "worker connection")
-		r.conns[i] = nil
+		sendShutdownLogged(s.c, reason, r.logf)
+		closeLogged(s.c, r.logf, "worker connection")
+		r.sess[i] = nil
 		r.state[i] = stateDown
 	}
 }
 
 // pingSuspects sends a heartbeat to every connected suspect worker; a pong
-// (or any other frame) restores it to the live set. Slot, generation and
-// connection are captured under one mutex hold, and a failed send severs
-// that exact captured connection: the blocked per-connection reader then
-// unblocks with a recv error and runs the ordinary drop path immediately,
-// instead of the dead suspect lingering until the idle timeout fires.
-// Closing the captured pointer (rather than re-reading r.conns[slot]) keeps
-// a concurrent rejoin's fresh connection safe — at worst the old, already
-// replaced connection is closed twice.
+// (or any other frame) restores it to the live set. Slot and connection are
+// captured under one mutex hold, and a failed send severs that exact
+// captured connection: the blocked per-connection reader then unblocks with
+// a recv error and runs the ordinary drop path immediately, instead of the
+// dead suspect lingering until the idle timeout fires. Closing the captured
+// pointer (rather than re-reading the slot's session) keeps a concurrent
+// rejoin's fresh connection safe — at worst the old, already replaced
+// connection is closed twice.
 func (r *registry) pingSuspects() {
 	type target struct {
-		slot, gen int
-		c         *conn
+		slot int
+		c    *conn
 	}
 	var targets []target
 	r.mu.Lock()
 	for i := 0; i < r.n; i++ {
-		if r.conns[i] != nil && r.state[i] == stateSuspect {
-			targets = append(targets, target{i, r.gens[i], r.conns[i]})
+		if r.sess[i] != nil && r.state[i] == stateSuspect {
+			targets = append(targets, target{i, r.sess[i].c})
 		}
 	}
 	r.mu.Unlock()
 	for _, t := range targets {
 		if _, err := t.c.send(&envelope{Kind: kindPing}); err != nil {
-			r.logf("heartbeat to worker %d (gen %d) failed, severing: %v", t.slot, t.gen, err)
+			r.logf("heartbeat to worker %d failed, severing: %v", t.slot, err)
 			closeLogged(t.c, r.logf, "dead suspect connection")
 		}
 	}
@@ -411,8 +457,12 @@ const maxBarrenRounds = 5
 
 // Serve runs the parameter server end to end: it accepts the configured
 // number of workers, runs the rounds and shuts the workers down, returning
-// the evaluation trajectory. It reuses the simulation's strategies verbatim;
-// only the time source differs (wall clock instead of the cluster model).
+// the evaluation trajectory. It reuses the simulation's strategies and round
+// ledger verbatim; only the time source differs (wall seconds since the
+// workers joined instead of the cluster model), so Rounds, TimeBudget,
+// TargetAccuracy, TargetLoss and StreamMetrics mean what they mean in
+// core.Run. Core options only the simulator implements are rejected (see
+// checkWireConfig).
 //
 // The round engine is fault tolerant: sends and receives fan out per worker
 // under a single round deadline, a round aggregates as soon as Quorum
@@ -435,19 +485,26 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkWireConfig(coreCfg); err != nil {
+		return nil, err
+	}
 	strategy, err := core.NewStrategy(fam, &coreCfg)
 	if err != nil {
 		return nil, err
 	}
-
-	global := fam.InitWeights(coreCfg.Seed)
+	// The ledger's clock starts once every worker has joined.
+	var start time.Time
+	led, err := core.NewLedger(fam, coreCfg, strategy, func() float64 { return time.Since(start).Seconds() })
+	if err != nil {
+		return nil, err
+	}
 
 	// Durability: open the checkpoint directory and recover any prior
 	// incarnation's state before accepting workers, so a restarted server
 	// resumes the schedule instead of starting over and rejoining workers
 	// are preseeded back into their old slots from the first hello.
 	var ckpt *checkpoint.Manager
-	var resume *codec.Snapshot
+	var resume *core.State
 	if cfg.CheckpointDir != "" {
 		ckpt, err = checkpoint.Open(cfg.CheckpointDir)
 		if err != nil {
@@ -469,11 +526,8 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 			logf("current snapshot unreadable; recovered from the previous one")
 		}
 		if snap != nil {
-			if err := checkResume(snap, cfg.Workers, coreCfg.Rounds, global); err != nil {
-				return nil, err
-			}
-			if err := resumeBandits(snap, cfg.Workers, strategy); err != nil {
-				return nil, err
+			if err := led.Restore(snap); err != nil {
+				return nil, fmt.Errorf("transport: resuming from checkpoint: %w", err)
 			}
 			resume = snap
 			logf("recovered checkpoint: snapshot at round %d plus %d WAL rounds; resuming at round %d",
@@ -485,17 +539,27 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer ln.Close()
 	logf("parameter server listening on %s, waiting for %d workers", ln.Addr(), cfg.Workers)
 
 	reg := newRegistry(cfg.Workers, logf)
 	if resume != nil {
-		if err := reg.preseed(resume.Workers); err != nil {
-			return nil, err
-		}
+		reg.preseed(resume.Workers)
 	}
 	defer reg.shutdown("done")
-	go acceptLoop(ln, reg, cfg.HelloTimeout, logf)
+	// The listening socket is released only once the accept loop's pending
+	// Accept returns, so Serve waits for the loop: when it returns, a
+	// restarted server can bind the same address.
+	acceptDone := make(chan struct{})
+	go func() {
+		defer close(acceptDone)
+		acceptLoop(ln, reg, cfg.HelloTimeout, logf)
+	}()
+	defer func() {
+		if cerr := ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
+			logf("closing listener: %v", cerr)
+		}
+		<-acceptDone
+	}()
 	if cfg.Abort != nil {
 		go func() {
 			select {
@@ -510,7 +574,8 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 		}()
 	}
 
-	// Startup: wait (boundedly) until every slot has joined once.
+	// Startup: wait (boundedly) until every slot has joined once, then
+	// order the new workers' slots by ID.
 	acceptDeadline := time.NewTimer(cfg.AcceptTimeout)
 	defer acceptDeadline.Stop()
 	for reg.connected() < cfg.Workers {
@@ -523,72 +588,24 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 				reg.connected(), cfg.Workers, cfg.AcceptTimeout)
 		}
 	}
+	reg.orderSlots()
 
-	eval, err := core.NewEvaluator(fam, coreCfg.Seed, fam.TestBatch(coreCfg.EvalLimit))
-	if err != nil {
-		return nil, err
+	// snapshot is the durable view of the server after a round: the
+	// ledger's State labelled with the registry's identity table.
+	snapshot := func() *core.State {
+		st := led.State()
+		reg.label(st.Workers)
+		return st
 	}
 
-	res := &core.Result{
-		Config:           coreCfg,
-		TimeToTargetAcc:  math.Inf(1),
-		TimeToTargetLoss: math.Inf(1),
-	}
-	start := time.Now()
-	prevLoss := math.NaN()
-	prevTimes := make([]float64, cfg.Workers)
-	prevComm := make([]float64, cfg.Workers)
-	lastRatio := make([]float64, cfg.Workers)
-	var roundSum float64
-	startRound := 1
+	start = time.Now()
+	round := 1
 	if resume != nil {
-		global = resume.Global
-		prevLoss = resume.PrevLoss
-		roundSum = resume.RoundSum
-		copy(prevTimes, resume.PrevTimes)
-		copy(prevComm, resume.PrevComm)
-		for _, w := range resume.Workers {
-			lastRatio[w.Slot] = w.Ratio
-		}
-		startRound = resume.Round + 1
-		res.Rounds = resume.Round
+		round = resume.Round + 1
 	}
-
-	evaluate := func(round int) core.Point {
-		loss, acc := eval.Eval(global)
-		p := core.Point{Round: round, Time: time.Since(start).Seconds(), Loss: loss, Acc: acc}
-		res.Points = append(res.Points, p)
-		return p
-	}
-	evaluate(startRound - 1)
-
-	// snapshotState assembles the durable view of the server after a round:
-	// the registry's identity table plus the model, the scheduler scalars
-	// and the strategy's per-worker bandit state.
-	snapshotState := func(round int) *codec.Snapshot {
-		snap := &codec.Snapshot{
-			Round:     round,
-			Global:    global,
-			PrevLoss:  prevLoss,
-			RoundSum:  roundSum,
-			PrevTimes: prevTimes,
-			PrevComm:  prevComm,
-			Workers:   reg.workerTable(),
-		}
-		bandits := exportBandits(strategy)
-		for i := range snap.Workers {
-			slot := snap.Workers[i].Slot
-			snap.Workers[i].Ratio = lastRatio[slot]
-			if slot < len(bandits) {
-				snap.Workers[i].Bandit = bandits[slot]
-			}
-		}
-		return snap
-	}
-
+	led.Evaluate(round - 1)
 	s := &server{cfg: cfg, reg: reg, logf: logf, quantize: coreCfg.QuantizeWire}
-	barren := 0
-	for round := startRound; round <= coreCfg.Rounds; round++ {
+	for barren := 0; ; round++ {
 		select {
 		case <-reg.done:
 			return nil, ErrAborted
@@ -599,18 +616,7 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mean := 0.0
-		if round > 1 {
-			mean = roundSum / float64(round-1)
-		}
-		info := &core.RoundInfo{
-			Round:         round,
-			Global:        global,
-			PrevLoss:      prevLoss,
-			PrevTimes:     append([]float64(nil), prevTimes...),
-			PrevCommTimes: append([]float64(nil), prevComm...),
-			MeanRoundTime: mean,
-		}
+		info := led.Info(round)
 		assignments, err := strategy.Assign(info, workerIDs)
 		if err != nil {
 			return nil, err
@@ -635,47 +641,14 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 		// by worker ID, as the simulator's cohort merge does.
 		slices.SortFunc(rs.outs, func(a, b core.Output) int { return cmp.Compare(a.Worker, b.Worker) })
 		slices.SortFunc(rs.dropped, func(a, b core.Assignment) int { return cmp.Compare(a.Worker, b.Worker) })
-
-		for i := range rs.outs {
-			o := &rs.outs[i]
-			prevTimes[o.Worker] = o.Total
-			prevComm[o.Worker] = o.CommTime
-			lastRatio[o.Worker] = o.Ratio
-		}
-		global, err = strategy.Aggregate(info, rs.outs, rs.dropped)
-		if err != nil {
+		roundTime := time.Since(roundStart).Seconds()
+		if err := led.Close(round, info, rs.outs, rs.dropped, len(reg.suspects()), roundTime); err != nil {
 			return nil, err
 		}
-		roundTime := time.Since(roundStart).Seconds()
-		roundSum += roundTime
-		res.Rounds = round
-		var losses float64
-		for _, o := range rs.outs {
-			losses += o.TrainLoss
-		}
-		prevLoss = losses / float64(len(rs.outs))
-
-		stat := core.RoundStat{
-			Round:        round,
-			Time:         roundTime,
-			Participants: len(rs.outs),
-			Dropped:      len(rs.dropped),
-			Suspect:      len(reg.suspects()),
-			Ratios:       make([]float64, cfg.Workers),
-		}
-		for _, o := range rs.outs {
-			stat.CompTime += o.CompTime
-			stat.CommTime += o.CommTime
-			stat.DownBytes += o.DownBytes
-			stat.UpBytes += o.UpBytes
-			stat.Ratios[o.Worker] = o.Ratio
-		}
-		stat.CompTime /= float64(len(rs.outs))
-		stat.CommTime /= float64(len(rs.outs))
-		res.Stats = append(res.Stats, stat)
-
+		met := false
 		if round%coreCfg.EvalEvery == 0 {
-			p := evaluate(round)
+			var p core.Point
+			p, met = led.Evaluate(round)
 			logf("round %d: loss %.4f acc %.3f (%d/%d workers, %d dropped, %.2fs)",
 				round, p.Loss, p.Acc, len(rs.outs), cfg.Workers, len(rs.dropped), roundTime)
 		}
@@ -686,20 +659,45 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 		// demote the recovery guarantee this server was configured for.
 		if ckpt != nil {
 			if round%cfg.SnapshotEvery == 0 {
-				if err := ckpt.WriteSnapshot(snapshotState(round)); err != nil {
+				if err := ckpt.WriteSnapshot(snapshot()); err != nil {
 					return nil, fmt.Errorf("transport: checkpointing round %d: %w", round, err)
 				}
-			} else if err := ckpt.AppendRound(snapshotState(round)); err != nil {
+			} else if err := ckpt.AppendRound(snapshot()); err != nil {
 				return nil, fmt.Errorf("transport: journaling round %d: %w", round, err)
 			}
 		}
+		if met || led.Stop(round) {
+			break
+		}
 	}
-	if len(res.Points) > 0 {
-		last := res.Points[len(res.Points)-1]
-		res.FinalAcc, res.FinalLoss = last.Acc, last.Loss
+	// Result.State stays nil: with a checkpoint directory the final state is
+	// its last record, and callers that keep many results (the benchmark
+	// keeps every execution's) should not also hold a model copy each.
+	return led.Result(), nil
+}
+
+// checkWireConfig rejects the Core options only the simulator implements:
+// the asynchronous engine, device models (Scenario, Population) and fault
+// injection (Faults, FailureRate) have no wire counterpart, and the wire's
+// own fault tolerance is ServerConfig's RoundTimeout and Quorum rather than
+// the §V-A virtual-time deadline.
+func checkWireConfig(c core.Config) error {
+	for _, o := range []struct {
+		set  bool
+		name string
+	}{
+		{c.Async, "Async"},
+		{c.Population != nil, "Population"},
+		{c.Scenario != nil, "Scenario"},
+		{c.Faults.Enabled(), "Faults"},
+		{c.FailureRate > 0, "FailureRate"},
+		{c.FaultTolerance, "FaultTolerance"},
+	} {
+		if o.set {
+			return fmt.Errorf("transport: Core.%s is simulator-only; the wire runtime does not support it", o.name)
+		}
 	}
-	res.Time = time.Since(start).Seconds()
-	return res, nil
+	return nil
 }
 
 // acceptLoop admits connections for the server's whole lifetime so workers
@@ -899,8 +897,9 @@ func (s *server) handleEvent(ev event, rs *roundState) {
 		}
 		if r.Delta != nil {
 			// Dense mode ships only the trained-minus-assigned delta;
-			// reconstruct the new weights against the assignment we sent.
-			w, err := applyDelta(a.Weights, r.Delta)
+			// reconstruct the new weights against the assignment we sent,
+			// exactly as the simulator's worker does.
+			w, err := core.ApplyDelta(a.Weights, r.Delta)
 			if err != nil {
 				s.logf("round %d: malformed result from worker %d (%v), dropping it", rs.round, ev.worker, err)
 				delete(rs.pending, ev.worker)
@@ -924,28 +923,4 @@ func (s *server) handleEvent(ev event, rs *roundState) {
 	default:
 		s.logf("ignoring unexpected frame kind %d from worker %d", ev.env.Kind, ev.worker)
 	}
-}
-
-// applyDelta reconstructs a worker's trained weights from the assignment's
-// weights plus the uploaded delta (the dense-mode upload never repeats what
-// the server just sent). The base tensors are cloned, never mutated — they
-// may alias strategy state. A result whose delta does not match the
-// assignment's shapes is a protocol error reported to the caller, not a
-// panic.
-func applyDelta(base, delta []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(delta) != len(base) {
-		return nil, fmt.Errorf("delta has %d tensors, assignment has %d", len(delta), len(base))
-	}
-	out := nn.CloneWeights(base)
-	for i := range out {
-		if len(delta[i].Data) != len(out[i].Data) {
-			return nil, fmt.Errorf("delta tensor %d has %d elements, assignment has %d",
-				i, len(delta[i].Data), len(out[i].Data))
-		}
-		dst, src := out[i].Data, delta[i].Data
-		for j := range dst {
-			dst[j] += src[j]
-		}
-	}
-	return out, nil
 }

@@ -2,11 +2,14 @@ package transport
 
 import (
 	"errors"
+	"math"
 	"net"
 	"testing"
 
 	"fedmp/internal/core"
+	"fedmp/internal/nn"
 	"fedmp/internal/simclock"
+	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
 )
 
@@ -32,7 +35,7 @@ func TestTrainAssignmentFixedClock(t *testing.T) {
 		{"charged", 2.5},
 		{"free", 0},
 	} {
-		res, err := trainAssignment(fam, srcs[0], msg, WorkerConfig{
+		res, _, err := trainAssignment(fam, srcs[0], msg, nil, WorkerConfig{
 			LR:    0.05,
 			Clock: simclock.Fixed{PerCall: tc.perCall},
 		})
@@ -64,8 +67,8 @@ func TestHeartbeatAndResultOverPipe(t *testing.T) {
 	cfg := WorkerConfig{LR: 0.05, Clock: simclock.Fixed{PerCall: 3.25}}
 	done := make(chan error, 1)
 	go func() {
-		lastRound := 0
-		done <- serveConn(worker, fam, srcs[0], cfg, &lastRound, newBackoff(0, 0, 1), func(string, ...any) {})
+		var p progress
+		done <- serveConn(worker, fam, srcs[0], cfg, &p, newBackoff(0, 0, 1), func(string, ...any) {})
 	}()
 
 	// Heartbeat: ping must come back as pong.
@@ -119,6 +122,88 @@ func TestHeartbeatAndResultOverPipe(t *testing.T) {
 		t.Errorf("result frame measured %d bytes, size model says %d", upBytes, wantUp)
 	}
 
+	if _, err := server.send(&envelope{Kind: kindShutdown, Shutdown: &shutdownMsg{Reason: "test over"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, errShutdown) {
+		t.Fatalf("serveConn returned %v, want errShutdown", err)
+	}
+}
+
+// TestWireFlexComCarriesLeftover pins FlexCom error feedback on the wire:
+// two consecutive top-K assignments to a worker session upload exactly
+// what two steps of core.Upload produce with the first step's leftover
+// threaded into the second as feedback — the simulator's worker path.
+func TestWireFlexComCarriesLeftover(t *testing.T) {
+	fam := testFamily()
+	wireSrcs, err := fam.Sources(1, core.NonIID{}, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSrcs, err := fam.Sources(1, core.NonIID{}, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := fam.InitWeights(5)
+	const k = 0.25
+
+	serverRaw, workerRaw := net.Pipe()
+	server, worker := newConn(serverRaw), newConn(workerRaw)
+	defer server.close()
+	done := make(chan error, 1)
+	go func() {
+		var p progress
+		done <- serveConn(worker, fam, wireSrcs[0], WorkerConfig{LR: 0.05, Momentum: 0.9}, &p, newBackoff(0, 0, 1), func(string, ...any) {})
+	}()
+
+	// The reference trains the same model on an identical source with the
+	// wire worker's optimiser, then uploads through core.Upload; bare is
+	// the same upload without feedback.
+	step := func(feedback []*tensor.Tensor) (wire, bare, leftover []*tensor.Tensor) {
+		net, err := fam.BuildNet(fam.FullDesc(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nn.SetWeights(net, weights)
+		opt := nn.NewSGD(0.05, 0.9, 0)
+		for it := 0; it < 2; it++ {
+			net.TrainStep(refSrcs[0].Next())
+			opt.Step(net.Params())
+		}
+		bare, _, _ = core.Upload(weights, nn.GetWeights(net), nil, k, false)
+		wire, _, leftover = core.Upload(weights, nn.GetWeights(net), feedback, k, false)
+		return wire, bare, leftover
+	}
+	same := func(a, b []*tensor.Tensor) bool {
+		for i := range a {
+			for j, v := range a[i].Data {
+				if math.Float32bits(v) != math.Float32bits(b[i].Data[j]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	var leftover []*tensor.Tensor
+	for round := 1; round <= 2; round++ {
+		if _, err := server.send(&envelope{Kind: kindAssign, Assign: &assignMsg{
+			Round: round, Desc: fam.FullDesc(), Weights: weights, Iters: 2, UploadK: k,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		e, _, err := server.recv(ioTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, bare []*tensor.Tensor
+		want, bare, leftover = step(leftover)
+		if !same(want, e.Result.Update) {
+			t.Errorf("round %d: the wire upload differs from core.Upload with the feedback threaded through", round)
+		}
+		if round == 2 && same(bare, e.Result.Update) {
+			t.Error("round 2: the feedback changed nothing; the test cannot tell whether the worker threads it")
+		}
+	}
 	if _, err := server.send(&envelope{Kind: kindShutdown, Shutdown: &shutdownMsg{Reason: "test over"}}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"fedmp/internal/core"
 	"fedmp/internal/nn"
 	"fedmp/internal/simclock"
+	"fedmp/internal/tensor"
 )
 
 // WorkerConfig parameterises one edge worker process.
@@ -77,7 +78,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 		cfg.ID = fmt.Sprintf("%s-%d", cfg.Name, time.Now().UnixNano())
 	}
 
-	lastRound := 0
+	var p progress
 	for session := 0; ; session++ {
 		c, err := dial(cfg.Addr, bo, cfg.MaxDialAttempts)
 		if err != nil {
@@ -88,7 +89,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 			return fmt.Errorf("transport: hello: %w", err)
 		}
 		logf("connected to %s (session %d)", cfg.Addr, session)
-		err = serveConn(c, fam, src, cfg, &lastRound, bo, logf)
+		err = serveConn(c, fam, src, cfg, &p, bo, logf)
 		closeLogged(c, logf, "session connection")
 		if errors.Is(err, errShutdown) {
 			return nil
@@ -100,14 +101,23 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 	}
 }
 
+// progress is what a worker carries across rounds and sessions: the last
+// round it served and the FlexCom compression error its top-K uploads left
+// behind (the codec.Assign.Quantize contract: the leftover compensates the
+// quantization error too).
+type progress struct {
+	lastRound int
+	leftover  []*tensor.Tensor
+}
+
 // serveConn runs one session: it answers heartbeats and trains assignments
 // until the connection breaks or the server shuts the worker down.
-// lastRound persists across sessions so stale assignments — work orders for
-// rounds the worker already served before a reconnect — are discarded. The
+// p persists across sessions so stale assignments — work orders for rounds
+// the worker already served before a reconnect — are discarded. The
 // session's first assignment is exempt: a lower round number there means the
 // server restarted from a checkpoint and rewound, and the worker follows it.
 // Completing a round (result sent) resets the shared backoff schedule.
-func serveConn(c *conn, fam core.Family, src core.Source, cfg WorkerConfig, lastRound *int, bo *backoff, logf func(string, ...any)) error {
+func serveConn(c *conn, fam core.Family, src core.Source, cfg WorkerConfig, p *progress, bo *backoff, logf func(string, ...any)) error {
 	firstAssign := true
 	for {
 		// The recycling decoder is safe here because every arm below fully
@@ -126,9 +136,9 @@ func serveConn(c *conn, fam core.Family, src core.Source, cfg WorkerConfig, last
 				return fmt.Errorf("transport: answering heartbeat: %w", err)
 			}
 		case kindAssign:
-			if e.Assign.Round <= *lastRound {
+			if e.Assign.Round <= p.lastRound {
 				if !firstAssign {
-					logf("discarding stale assignment for round %d (already at %d)", e.Assign.Round, *lastRound)
+					logf("discarding stale assignment for round %d (already at %d)", e.Assign.Round, p.lastRound)
 					continue
 				}
 				// First assignment of a fresh session: the server restarted
@@ -136,14 +146,14 @@ func serveConn(c *conn, fam core.Family, src core.Source, cfg WorkerConfig, last
 				// counter. Accept it — its weights carry the recovered
 				// global state, so retraining is correct, not duplicate work.
 				logf("accepting round rewind %d -> %d (server recovered from checkpoint)",
-					*lastRound, e.Assign.Round)
+					p.lastRound, e.Assign.Round)
 			}
 			firstAssign = false
-			res, err := trainAssignment(fam, src, e.Assign, cfg)
+			res, leftover, err := trainAssignment(fam, src, e.Assign, p.leftover, cfg)
 			if err != nil {
 				return err
 			}
-			*lastRound = e.Assign.Round
+			p.lastRound, p.leftover = e.Assign.Round, leftover
 			// An assignment that arrived quantized asks for a quantized
 			// result; the codec still keeps any tensor where int8 would not
 			// be byte-cheaper at full precision.
@@ -161,7 +171,9 @@ func serveConn(c *conn, fam core.Family, src core.Source, cfg WorkerConfig, last
 
 // trainAssignment performs the local-training phase for one assignment,
 // mirroring the simulation engine's worker step with wall-clock timing.
-func trainAssignment(fam core.Family, src core.Source, a *assignMsg, cfg WorkerConfig) (*resultMsg, error) {
+// feedback is the leftover of the previous FlexCom upload (ignored when it
+// does not fit the assigned model); the returned leftover is this upload's.
+func trainAssignment(fam core.Family, src core.Source, a *assignMsg, feedback []*tensor.Tensor, cfg WorkerConfig) (*resultMsg, []*tensor.Tensor, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Wall{}
@@ -169,7 +181,7 @@ func trainAssignment(fam core.Family, src core.Source, a *assignMsg, cfg WorkerC
 	elapsed := clock.Stopwatch()
 	net, err := fam.BuildNet(a.Desc, 1)
 	if err != nil {
-		return nil, fmt.Errorf("transport: building assigned model: %w", err)
+		return nil, nil, fmt.Errorf("transport: building assigned model: %w", err)
 	}
 	nn.SetWeights(net, a.Weights)
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 0)
@@ -192,21 +204,34 @@ func trainAssignment(fam core.Family, src core.Source, a *assignMsg, cfg WorkerC
 		TrainLoss:   lossSum / float64(iters),
 		CompSeconds: elapsed(),
 	}
-	newW := nn.GetWeights(net)
-	if a.UploadK > 0 {
-		res.Update = core.TopKUpdate(a.Weights, newW, a.UploadK)
-	} else {
-		// Dense mode uploads the trained-minus-assigned delta: the server
-		// still has the weights it sent, so repeating them buys nothing,
-		// and a partially-trained delta's zero runs compress under the
-		// codec's sparse mode. GetWeights deep-copies, so the subtraction
-		// can safely run in place.
-		for i, w := range newW {
-			w.Sub(a.Weights[i])
-		}
-		res.Delta = newW
+	if !sameShapes(feedback, a.Weights) {
+		feedback = nil
 	}
-	return res, nil
+	// Dense mode uploads the trained-minus-assigned delta: the server still
+	// has the weights it sent, so repeating them buys nothing, and a
+	// partially-trained delta's zero runs compress under the codec's sparse
+	// mode.
+	wire, _, leftover := core.Upload(a.Weights, nn.GetWeights(net), feedback, a.UploadK, a.Quantize)
+	if a.UploadK > 0 {
+		res.Update = wire
+	} else {
+		res.Delta = wire
+	}
+	return res, leftover, nil
+}
+
+// sameShapes reports whether two model weight lists match tensor for
+// tensor.
+func sameShapes(a, b []*tensor.Tensor) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !tensor.SameShape(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // dial connects to the server, retrying on the shared backoff-with-jitter
